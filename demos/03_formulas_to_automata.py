@@ -7,8 +7,8 @@ a Büchi automaton for the negation, and searches the product with the state
 space for an accepting cycle - a single infinite run that breaks the spec.
 """
 
-from tgmc.buchi import build_buchi, buchi_accepts_lasso
-from tgmc.checker import combined_formula
+from tgmc.buchi import build_buchi
+from tgmc.checker import buchi_accepts_lasso, combined_formula
 from tgmc.harness import load_builtin
 from tgmc.ltl import (eval_formula_on_lasso, formula_aps, negate_to_nnf,
                       render_formula)

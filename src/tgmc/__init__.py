@@ -9,53 +9,18 @@ from quantified atomic propositions, under an optional declarative
 communication-fairness escape clause.
 """
 
-from .buchi import BuchiAutomaton, buchi_accepts_lasso, build_buchi
-from .cfa import (Cfa, Declarations, Edge, Guard, GuardAnd, GuardExpr,
-                  GuardNot, Inc, Op, Pick, PickAtom, PickCond, SetStatus,
-                  StatusValue, SvEq, ThresholdLe, apply_op, enumerate_paths,
-                  eval_guard, pick_range, step_successors, validate_cfa)
-from .checker import (DEFAULT_MAX_PRODUCT_STATES, Lasso, Product,
-                      ResourceCapExceeded, Verdict, check_spec,
-                      combined_formula, nested_dfs, product_nested_dfs,
-                      replay_lasso)
-from .core import (Comparison, LinearForm, ModelError, ParamEnv,
-                   ResilienceCondition, Valuation, check_resilience,
-                   eval_linear_form, make_valuation)
-from .dsl import (Diagnostic, ModelDef, ModelSyntaxError, SpecDef,
-                  format_model, parse_model, parse_params_binding)
+from .checker import Lasso, Verdict, check_spec, combined_formula
+from .core import ModelError
+from .dsl import parse_model, parse_params_binding
 from .harness import (BUILTIN_NAMES, CaseSpec, RunRecord, load_builtin,
-                      read_manifest, render_state, render_trace,
-                      resolve_model, run_case, run_manifest, summarize,
-                      verify_trace, write_records_csv)
-from .kripke import (AtomicProp, GlobalState, Instance, canonicalize,
-                     eval_atomic_prop, global_successors,
-                     initial_global_states)
-from .ltl import (FALSE, TRUE, And, Formula, Future, Globally, LessProp,
-                  Literal, Or, Release, StatusProp, Until,
-                  eval_formula_on_lasso, formula_aps, negate_to_nnf,
-                  render_formula)
+                      read_manifest, run_manifest)
+from .ltl import negate_to_nnf
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "And", "AtomicProp", "BUILTIN_NAMES", "BuchiAutomaton", "CaseSpec",
-    "Cfa", "Comparison", "DEFAULT_MAX_PRODUCT_STATES", "Declarations",
-    "Diagnostic", "Edge", "FALSE", "Formula", "Future", "Globally",
-    "GlobalState", "Guard", "GuardAnd", "GuardExpr", "GuardNot", "Inc",
-    "Instance", "Lasso", "LessProp", "LinearForm", "Literal", "ModelDef",
-    "ModelError", "ModelSyntaxError", "Op", "Or", "ParamEnv", "Pick",
-    "PickAtom", "PickCond", "Product", "Release", "ResilienceCondition",
-    "ResourceCapExceeded", "RunRecord", "SetStatus", "SpecDef",
-    "StatusProp", "StatusValue", "SvEq", "TRUE", "ThresholdLe", "Until",
-    "Valuation", "Verdict", "apply_op", "buchi_accepts_lasso",
-    "build_buchi", "canonicalize", "check_resilience", "check_spec",
-    "combined_formula", "enumerate_paths", "eval_atomic_prop",
-    "eval_formula_on_lasso", "eval_guard", "eval_linear_form",
-    "format_model", "formula_aps", "global_successors",
-    "initial_global_states", "load_builtin", "make_valuation",
-    "negate_to_nnf", "nested_dfs", "parse_model", "parse_params_binding",
-    "pick_range", "product_nested_dfs", "read_manifest", "render_formula",
-    "render_state", "render_trace", "replay_lasso", "resolve_model",
-    "run_case", "run_manifest", "step_successors", "summarize",
-    "validate_cfa", "verify_trace", "write_records_csv",
+    "BUILTIN_NAMES", "CaseSpec", "Lasso", "ModelError", "RunRecord",
+    "Verdict", "check_spec", "combined_formula", "load_builtin",
+    "negate_to_nnf", "parse_model", "parse_params_binding", "read_manifest",
+    "run_manifest",
 ]

@@ -35,12 +35,6 @@ class BuchiAutomaton:
     def n_states(self) -> int:
         return len(self.succ)
 
-    def letter_satisfies(self, letter, state: int) -> bool:
-        """letter = container of the AtomicProps true at a position."""
-        need_true, need_false = self.labels[state]
-        return (all(self.aps[i] in letter for i in need_true)
-                and not any(self.aps[i] in letter for i in need_false))
-
 
 class _Interner:
     """Formula ↔ integer ids, assigned in deterministic traversal order."""
@@ -239,94 +233,3 @@ def _reachable_renumber(labels, succ, initial, accepting, advance):
     new_accepting = frozenset(i for i, (q, lvl) in enumerate(order)
                               if accepting(q, lvl))
     return new_labels, new_succ, tuple(dict.fromkeys(new_initial)), new_accepting
-
-
-def buchi_accepts_lasso(ba: BuchiAutomaton, prefix_letters, cycle_letters) -> bool:
-    """Membership of the ultimately periodic word prefix·cycle^ω.
-
-    Decided on the finite position-unrolled graph: accept iff a cycle through
-    an accepting automaton state is reachable from a valid initial pair.
-    Used by tests and trace verification; independent of the emptiness search.
-    """
-    letters = list(prefix_letters) + list(cycle_letters)
-    if not cycle_letters:
-        raise ModelError("lasso cycle must be non-empty")
-    n = len(letters)
-    p = len(prefix_letters)
-    nxt = list(range(1, n)) + [p]
-
-    valid: dict[tuple[int, int], bool] = {}
-
-    def ok(pos: int, q: int) -> bool:
-        key = (pos, q)
-        found = valid.get(key)
-        if found is None:
-            found = ba.letter_satisfies(letters[pos], q)
-            valid[key] = found
-        return found
-
-    nodes = [(0, q) for q in ba.initial if ok(0, q)]
-    seen = set(nodes)
-    stack = list(nodes)
-    edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    while stack:
-        pos, q = stack.pop()
-        outs = []
-        for q2 in ba.succ[q]:
-            if ok(nxt[pos], q2):
-                node = (nxt[pos], q2)
-                outs.append(node)
-                if node not in seen:
-                    seen.add(node)
-                    stack.append(node)
-        edges[(pos, q)] = outs
-
-    # Tarjan over the reachable subgraph; accept iff some strongly connected
-    # component with an internal cycle contains an accepting automaton state.
-    sys_index: dict[tuple[int, int], int] = {}
-    low: dict[tuple[int, int], int] = {}
-    on_stack: set[tuple[int, int]] = set()
-    scc_stack: list[tuple[int, int]] = []
-    counter = [0]
-
-    for root in edges:
-        if root in sys_index:
-            continue
-        work = [(root, iter(edges[root]))]
-        sys_index[root] = low[root] = counter[0]
-        counter[0] += 1
-        scc_stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in sys_index:
-                    sys_index[child] = low[child] = counter[0]
-                    counter[0] += 1
-                    scc_stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(edges[child])))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], sys_index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == sys_index[node]:
-                component = []
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                has_cycle = len(component) > 1 or any(
-                    member in edges[member] for member in component)
-                if has_cycle and any(q in ba.accepting for _, q in component):
-                    return True
-    return False

@@ -7,7 +7,8 @@ recursion limit.  Every reported lasso is replay-validated before the verdict
 is returned: each transition is re-checked against the instance's successor
 relation and the negated formula is re-evaluated on the lasso's word by the
 direct fixpoint evaluator.  A verdict is therefore never justified by the
-search alone.
+search alone.  The same search decides whether an automaton accepts one
+lasso word (buchi_accepts_lasso).
 """
 
 from __future__ import annotations
@@ -25,10 +26,15 @@ DEFAULT_MAX_PRODUCT_STATES = 50_000_000
 
 
 class ResourceCapExceeded(Exception):
-    """The search stored more product states than the configured cap."""
+    """The search stored more product states than the configured cap.
+
+    ``stats`` holds the counts reached when the search stopped; raised from
+    product_nested_dfs, it has the same keys as that function's stats.
+    """
 
     def __init__(self, stored: int):
         self.stored = stored
+        self.stats = {"product_states": stored}
         super().__init__(f"stored {stored} product states, exceeding the cap")
 
 
@@ -50,6 +56,13 @@ class Lasso:
 
 @dataclass
 class Verdict:
+    """Outcome of one check.  The counts are those of the search, also when
+    it stopped at the state cap: ``product_states`` distinct product nodes
+    stored, ``kripke_states`` distinct system states reached, and
+    ``transitions`` product edges generated over all expansions, the red
+    search's re-expansions of already stored nodes included (so an edge can
+    be counted more than once)."""
+
     status: str                      # "holds" | "violated" | "inconclusive"
     formula: Formula                 # the checked formula (spec, or spec ∨ unfairness)
     negated: Formula                 # NNF of its negation (what the automaton accepts)
@@ -237,6 +250,37 @@ def _bits(indices) -> int:
     return mask
 
 
+def buchi_accepts_lasso(ba: BuchiAutomaton, prefix_letters, cycle_letters) -> bool:
+    """Membership of the ultimately periodic word prefix·cycle^ω, where each
+    letter is a container of the AtomicProps true at its position.
+
+    Runs nested_dfs on the product of the word's position chain with the
+    automaton: node pos * nq + q, entered only if the letter at pos meets
+    q's label.  Used by tests and demos.
+    """
+    if not cycle_letters:
+        raise ModelError("lasso cycle must be non-empty")
+    letters = list(prefix_letters) + list(cycle_letters)
+    masks = [_bits(i for i, ap in enumerate(ba.aps) if ap in letter)
+             for letter in letters]
+    nxt = list(range(1, len(letters))) + [len(prefix_letters)]
+    needs = [(_bits(t), _bits(fs)) for t, fs in ba.labels]
+    nq = max(ba.n_states(), 1)
+
+    def entered(pos: int, states) -> list[int]:
+        mask = masks[pos]
+        return [pos * nq + q for q in states
+                if mask & needs[q][0] == needs[q][0] and not mask & needs[q][1]]
+
+    def successors(node: int) -> list[int]:
+        pos, q = divmod(node, nq)
+        return entered(nxt[pos], ba.succ[q])
+
+    result, _ = nested_dfs(entered(0, ba.initial), successors,
+                           lambda node: node % nq in ba.accepting)
+    return result is not None
+
+
 def product_nested_dfs(inst: Instance, ba: BuchiAutomaton,
                        max_states: int | None = None):
     """Search the lazy product for an accepting lasso.
@@ -245,14 +289,22 @@ def product_nested_dfs(inst: Instance, ba: BuchiAutomaton,
     (the checked property holds), and stats is a dict with keys
     product_states, kripke_states, transitions.  The lasso's ap_truth is
     evaluated directly on the instance, in automaton AP order.  Raises
-    ResourceCapExceeded if the cap is hit.
+    ResourceCapExceeded if the cap is hit, with the stats reached so far.
     """
     product = Product(inst, ba)
-    result, stored = nested_dfs(product.initial_nodes(), product.successors,
-                                product.is_accepting, max_stored=max_states)
-    stats = {"product_states": stored,
-             "kripke_states": product.kripke_state_count(),
-             "transitions": product.transitions}
+
+    def stats_at(stored: int) -> dict[str, int]:
+        return {"product_states": stored,
+                "kripke_states": product.kripke_state_count(),
+                "transitions": product.transitions}
+
+    try:
+        result, stored = nested_dfs(product.initial_nodes(), product.successors,
+                                    product.is_accepting, max_stored=max_states)
+    except ResourceCapExceeded as cap:
+        cap.stats = stats_at(cap.stored)
+        raise
+    stats = stats_at(stored)
     if result is None:
         return None, stats
     prefix_nodes, cycle_nodes = result
@@ -326,24 +378,14 @@ def check_spec(model: ModelDef, env: ParamEnv, spec_name: str,
 
     try:
         lasso, stats = product_nested_dfs(inst, ba, max_states=max_states)
+        status = "holds" if lasso is None else "violated"
     except ResourceCapExceeded as cap:
-        return Verdict(status="inconclusive", formula=target, negated=negated,
-                       counterexample=None, product_states=cap.stored,
-                       kripke_states=0, transitions=0, elapsed_ms=elapsed())
+        lasso, stats, status = None, cap.stats, "inconclusive"
 
-    if lasso is None:
-        return Verdict(status="holds", formula=target, negated=negated,
-                       counterexample=None,
-                       product_states=stats["product_states"],
-                       kripke_states=stats["kripke_states"],
-                       transitions=stats["transitions"], elapsed_ms=elapsed())
-
-    problems = replay_lasso(inst, lasso, negated)
-    if problems:
-        raise ModelError("internal error: counterexample failed replay: "
-                         + "; ".join(problems))
-    return Verdict(status="violated", formula=target, negated=negated,
-                   counterexample=lasso,
-                   product_states=stats["product_states"],
-                   kripke_states=stats["kripke_states"],
-                   transitions=stats["transitions"], elapsed_ms=elapsed())
+    if lasso is not None:
+        problems = replay_lasso(inst, lasso, negated)
+        if problems:
+            raise ModelError("internal error: counterexample failed replay: "
+                             + "; ".join(problems))
+    return Verdict(status=status, formula=target, negated=negated,
+                   counterexample=lasso, elapsed_ms=elapsed(), **stats)

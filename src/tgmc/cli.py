@@ -16,9 +16,9 @@ from .checker import DEFAULT_MAX_PRODUCT_STATES, check_spec
 from .cfa import enumerate_paths
 from .core import ModelError, check_resilience
 from .dsl import parse_params_binding
-from .harness import (exit_code_for, records_csv_text, render_state,
-                      render_trace, resolve_model, run_manifest, summarize,
-                      verify_trace, write_records_csv)
+from .harness import (exit_code_for, render_state, render_trace,
+                      resolve_model, run_manifest, summarize, verify_trace,
+                      write_records_csv)
 from .ltl import render_formula
 
 EXIT_OK, EXIT_VIOLATED, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
@@ -166,10 +166,11 @@ def _cmd_bench(args) -> int:
                            max_states=args.max_states,
                            symmetry=not args.no_symmetry)
     if args.out:
-        write_records_csv(records, args.out)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            write_records_csv(records, fh)
         print(summarize(records))
     else:
-        sys.stdout.write(records_csv_text(records))
+        write_records_csv(records, sys.stdout)
         print(summarize(records), file=sys.stderr)
     return exit_code_for(records)
 

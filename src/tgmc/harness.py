@@ -12,7 +12,6 @@ last, so two runs of one manifest differ at most in the final column).
 from __future__ import annotations
 
 import csv
-import io
 import multiprocessing
 from dataclasses import dataclass, field
 from importlib import resources
@@ -81,32 +80,11 @@ class RunRecord:
     states_stored: int = 0
     transitions: int = 0
     elapsed_ms: int = 0
-    trace: dict | None = None    # {"prefix": [...], "cycle": [...]} state texts
     detail: str = ""             # error text when verdict == "error"
-
-    def to_json(self) -> dict:
-        record = {
-            "model": self.case.model,
-            "params": self.case.params,
-            "spec": self.case.spec,
-            "verdict": self.verdict,
-            "expected": self.case.expected,
-            "match": self.match,
-            "states_stored": self.states_stored,
-            "transitions": self.transitions,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        if self.trace is not None:
-            record["trace"] = self.trace
-        if self.detail:
-            record["detail"] = self.detail
-        return record
 
 
 def run_case(case: CaseSpec, *, symmetry: bool = True,
-             max_states: int = DEFAULT_MAX_PRODUCT_STATES,
-             trace_path: str | None = None,
-             include_trace: bool = False) -> RunRecord:
+             max_states: int = DEFAULT_MAX_PRODUCT_STATES) -> RunRecord:
     """Check one manifest case.  Fairness is on exactly when the spec carries
     an `unless` clause.  Skip-tier cases are echoed without being run."""
     if case.expected == "skip" or case.tier in ("skip", "unmodeled"):
@@ -123,23 +101,10 @@ def run_case(case: CaseSpec, *, symmetry: bool = True,
         match: bool | None = False if case.tier == "required" else None
     else:
         match = verdict.status == case.expected
-    record = RunRecord(case=case, verdict=verdict.status, match=match,
-                       states_stored=verdict.product_states,
-                       transitions=verdict.transitions,
-                       elapsed_ms=verdict.elapsed_ms)
-    lasso = verdict.counterexample
-    if lasso is not None:
-        if include_trace:
-            record.trace = {
-                "prefix": [render_state(s, model) for s in lasso.prefix],
-                "cycle": [render_state(s, model) for s in lasso.cycle],
-            }
-        if trace_path is not None:
-            text = render_trace(lasso, model, env=env, spec_name=case.spec,
-                                fairness=fairness, symmetry=symmetry)
-            with open(trace_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    return record
+    return RunRecord(case=case, verdict=verdict.status, match=match,
+                     states_stored=verdict.product_states,
+                     transitions=verdict.transitions,
+                     elapsed_ms=verdict.elapsed_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +153,10 @@ def _run_case_packed(args) -> RunRecord:
     return run_case(case, symmetry=symmetry, max_states=max_states)
 
 
-def run_manifest(path: str, jobs: int = 1, out=None,
+def run_manifest(path: str, jobs: int = 1,
                  max_states: int = DEFAULT_MAX_PRODUCT_STATES,
                  symmetry: bool = True) -> list[RunRecord]:
-    """Run every case of a manifest; results come back in manifest order.
-    ``out`` (a path or writable file) receives the result CSV if given."""
+    """Run every case of a manifest; results come back in manifest order."""
     cases = read_manifest(path)
     work = [(case, symmetry, max_states) for case in cases]
     if jobs > 1 and len(work) > 1:
@@ -201,29 +165,12 @@ def run_manifest(path: str, jobs: int = 1, out=None,
         except ValueError:
             ctx = multiprocessing.get_context()
         with ctx.Pool(processes=jobs) as pool:
-            records = pool.map(_run_case_packed, work)
-    else:
-        records = [_run_case_packed(item) for item in work]
-    if out is not None:
-        write_records_csv(records, out)
-    return records
+            return pool.map(_run_case_packed, work)
+    return [_run_case_packed(item) for item in work]
 
 
-def write_records_csv(records: list[RunRecord], out) -> None:
-    if hasattr(out, "write"):
-        _write_records(records, out)
-        return
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        _write_records(records, fh)
-
-
-def records_csv_text(records: list[RunRecord]) -> str:
-    buffer = io.StringIO()
-    _write_records(records, buffer)
-    return buffer.getvalue()
-
-
-def _write_records(records: list[RunRecord], fh) -> None:
+def write_records_csv(records: list[RunRecord], fh) -> None:
+    """Write the result CSV to an open text file."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
     for r in records:

@@ -23,7 +23,6 @@ under permutations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable
 
 from .cfa import step_successors
@@ -34,47 +33,6 @@ from .ltl import AtomicProp, LessProp, StatusProp
 # Engine state aliases (documentation only).
 ProcEntry = tuple[int, tuple[int, ...]]
 EngineState = tuple[tuple[ProcEntry, ...], tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class GlobalState:
-    """Boundary representation of one global state, with names spelled out."""
-
-    procs: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
-    shareds: tuple[tuple[str, int], ...]
-    params: tuple[tuple[str, int], ...]
-
-
-def eval_atomic_prop(p: AtomicProp, g: GlobalState) -> bool:
-    """Quantified evaluation over the process vector (∀ true / ∃ false when empty)."""
-    if isinstance(p, StatusProp):
-        values = [(status == p.status) == p.eq for status, _ in g.procs]
-        return all(values) if p.quant == "all" else any(values)
-    if isinstance(p, LessProp):
-        env = dict(g.params)
-        offset = eval_linear_form(p.offset, env)
-        shareds = dict(g.shareds)
-
-        def view(locals_pairs: tuple[tuple[str, int], ...], name: str) -> int:
-            for key, val in locals_pairs:
-                if key == name:
-                    return val
-            if name in shareds:
-                return shareds[name]
-            raise ModelError(f"unbound variable {name!r} in atomic proposition")
-
-        return any(view(locals_pairs, p.x) + offset < view(locals_pairs, p.y)
-                   for _, locals_pairs in g.procs)
-    raise ModelError(f"unknown atomic proposition {p!r}")
-
-
-def canonicalize(g: GlobalState, statuses) -> GlobalState:
-    """Representative of g's permutation orbit: processes sorted by
-    (status declaration order, local values).  Idempotent, label-preserving."""
-    order = {status: i for i, status in enumerate(statuses)}
-    procs = tuple(sorted(g.procs,
-                         key=lambda e: (order[e[0]], tuple(v for _, v in e[1]))))
-    return GlobalState(procs, g.shareds, g.params)
 
 
 class Instance:
@@ -106,7 +64,7 @@ class Instance:
         self._step_cache: dict[tuple[ProcEntry, tuple[int, ...]],
                                tuple[tuple[ProcEntry, tuple[int, ...]], ...]] = {}
 
-    # -- construction / conversion ------------------------------------------
+    # -- initial states ------------------------------------------------------
 
     def initial_states(self) -> list[EngineState]:
         zero_locals = (0,) * len(self._locals)
@@ -121,29 +79,6 @@ class Instance:
             procs = tuple((idx, zero_locals) for idx in combo)
             states.append((procs, zero_shareds))
         return states
-
-    def canonical(self, state: EngineState) -> EngineState:
-        procs, shareds = state
-        return (tuple(sorted(procs)), shareds)
-
-    def to_global_state(self, state: EngineState) -> GlobalState:
-        procs, shareds = state
-        named_procs = tuple(
-            (self.statuses[idx], tuple(zip(self._locals, vals)))
-            for idx, vals in procs)
-        return GlobalState(named_procs, tuple(zip(self._shareds, shareds)),
-                           self._params_pairs)
-
-    def from_global_state(self, g: GlobalState) -> EngineState:
-        procs = []
-        for status, locals_pairs in g.procs:
-            if status not in self._status_index:
-                raise ModelError(f"unknown status {status!r}")
-            values = dict(locals_pairs)
-            procs.append((self._status_index[status],
-                          tuple(values[name] for name in self._locals)))
-        shared_values = dict(g.shareds)
-        return (tuple(procs), tuple(shared_values[name] for name in self._shareds))
 
     # -- transitions ---------------------------------------------------------
 
@@ -173,7 +108,7 @@ class Instance:
 
         Under symmetry, identical process entries are expanded once (moving
         either of two identical processes yields the same canonical state) and
-        each successor is canonicalized.
+        each successor's process vector is sorted into its canonical form.
         """
         procs, shareds = state
         out: dict[EngineState, None] = {}
@@ -237,16 +172,3 @@ class Instance:
             return (False, self._shareds.index(name))
         raise ModelError(f"unknown variable {name!r}")
 
-    def eval_ap(self, ap: AtomicProp, state: EngineState) -> bool:
-        return self.compile_ap(ap)(state)
-
-
-def initial_global_states(inst: Instance) -> list[GlobalState]:
-    """Initial states at the model boundary (see Instance.initial_states)."""
-    return [inst.to_global_state(s) for s in inst.initial_states()]
-
-
-def global_successors(g: GlobalState, inst: Instance) -> list[GlobalState]:
-    """Successor states at the model boundary (see Instance.successors)."""
-    start = inst.from_global_state(g)
-    return [inst.to_global_state(s) for s in inst.successors(start)]

@@ -4,8 +4,9 @@ used to cross-check the engine.
 The references deliberately re-derive semantics from first principles —
 path enumeration via networkx, step successors by per-path candidate
 substitution, temporal truth by walking the unique future chain of an
-ultimately periodic word, and emptiness via strongly connected components —
-so that agreement with the package is evidence, not tautology.
+ultimately periodic word, proposition truth by looking variables up by name,
+and emptiness via strongly connected components — so that agreement with the
+package is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import networkx as nx
 from tgmc.cfa import (EPS, Cfa, Guard, GuardAnd, GuardNot, Inc, Pick, SetStatus,
                       SvEq, ThresholdLe)
 from tgmc.core import LinearForm, Valuation, make_valuation
-from tgmc.ltl import And, Formula, Future, Globally, Literal, Or, Release, Until
+from tgmc.ltl import (And, AtomicProp, Formula, Future, Globally, LessProp,
+                      Literal, Or, Release, StatusProp, Until)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +178,31 @@ def naive_step_successors(v: Valuation, cfa: Cfa) -> list[Valuation]:
             frontier = advanced
         results.update(frontier)
     return sorted(results, key=lambda w: (w.status, w.locals, w.shareds))
+
+
+# ---------------------------------------------------------------------------
+# Atomic propositions on engine states, by name.
+
+def eval_atomic_prop(p: AtomicProp, state, model, env: dict) -> bool:
+    """Truth of a quantified proposition in the engine state
+    ``(procs, shareds)`` of an instance of ``model`` under ``env``, with every
+    variable looked up by its declared name.  Over an empty process vector
+    ∀ is true and ∃ is false."""
+    procs, shareds = state
+    if isinstance(p, StatusProp):
+        values = [(model.statuses[status] == p.status) == p.eq
+                  for status, _ in procs]
+        return all(values) if p.quant == "all" else any(values)
+    if isinstance(p, LessProp):
+        offset = linear_value(p.offset, env)
+        shared_env = dict(zip(model.shareds, shareds))
+
+        def view(local_values, name: str) -> int:
+            return {**shared_env, **dict(zip(model.locals, local_values))}[name]
+
+        return any(view(values, p.x) + offset < view(values, p.y)
+                   for _, values in procs)
+    raise AssertionError(f"unknown proposition {p!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ import tgmc
 from oracles import (brute_eval, naive_step_successors, nx_step_paths,
                      random_digraph, random_nnf_formula, random_valuation,
                      scc_accepting_lasso_exists)
-from tgmc.buchi import buchi_accepts_lasso, build_buchi
+from tgmc.buchi import build_buchi
 from tgmc.cfa import enumerate_paths, step_successors
-from tgmc.checker import check_spec, nested_dfs, replay_lasso
+from tgmc.checker import (buchi_accepts_lasso, check_spec, nested_dfs,
+                          replay_lasso)
 from tgmc.core import LinearForm
 from tgmc.dsl import parse_params_binding
 from tgmc.harness import (BUILTIN_NAMES, load_builtin, read_manifest,

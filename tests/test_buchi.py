@@ -6,7 +6,8 @@ import random
 import pytest
 
 from oracles import brute_eval, random_nnf_formula
-from tgmc.buchi import BuchiAutomaton, build_buchi, buchi_accepts_lasso
+from tgmc.buchi import build_buchi
+from tgmc.checker import buchi_accepts_lasso
 from tgmc.core import LinearForm, ModelError
 from tgmc.ltl import (FALSE, TRUE, Future, Globally, LessProp, Literal, Or,
                       Release, StatusProp, Until, negate_to_nnf)

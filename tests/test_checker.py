@@ -152,6 +152,9 @@ def test_check_spec_resource_cap():
     assert verdict.status == "inconclusive"
     assert verdict.holds is None
     assert verdict.product_states > 50
+    # The inconclusive verdict keeps what the search had built.
+    assert 0 < verdict.kripke_states <= verdict.product_states
+    assert verdict.transitions > 0
 
 
 def test_replay_rejects_corrupted_lassos():

@@ -1,0 +1,35 @@
+"""The demos run, and the package's advertised names exist."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tgmc
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, tmp_path):
+    # Like the CLI runs of test_acceptance: the child imports the very package
+    # this process imported.
+    source_root = str(Path(tgmc.__file__).resolve().parent.parent)
+    pythonpath = [source_root, *filter(None, os.environ.get(
+        "PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    run = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                         text=True, env=env, cwd=str(tmp_path), check=False)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout
+
+
+def test_public_names_resolve():
+    for name in tgmc.__all__:
+        assert getattr(tgmc, name) is not None, name

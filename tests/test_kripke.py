@@ -1,21 +1,25 @@
 """System instances: initial states, interleaving, symmetry, labeling."""
 
-import itertools
 import random
 
 import pytest
 
-from oracles import multiset_count, naive_step_successors
+from oracles import eval_atomic_prop, multiset_count, naive_step_successors
 from tgmc.core import LinearForm, ModelError, make_valuation
-from tgmc.harness import load_builtin
-from tgmc.kripke import (GlobalState, Instance, canonicalize, eval_atomic_prop,
-                         global_successors, initial_global_states)
+from tgmc.harness import TRACE_MAGIC, load_builtin, parse_trace
+from tgmc.kripke import Instance
 from tgmc.ltl import LessProp, StatusProp
 
 
 def byz_instance(symmetry=True, env=None):
     return Instance(load_builtin("byz"), env or {"n": 7, "t": 2, "f": 2},
                     symmetry=symmetry)
+
+
+def canonical(state):
+    """The representative the symmetric engine stores: processes sorted."""
+    procs, shareds = state
+    return (tuple(sorted(procs)), shareds)
 
 
 def test_parameter_binding_is_validated():
@@ -38,8 +42,16 @@ def test_initial_state_counts():
     reduced = inst.initial_states()
     assert len(reduced) == multiset_count(2, 5) == 6
     # Every full initial state canonicalizes into the reduced set.
-    canon = {inst.canonical(s) for s in full}
+    canon = {canonical(s) for s in full}
     assert canon == set(reduced)
+    # Shared values and locals start at zero; statuses come from `init`.
+    model = load_builtin("byz")
+    assert inst.env == {"n": 7, "t": 2, "f": 2}
+    assert model.shareds == ("nsnt",)
+    for procs, shareds in full + reduced:
+        assert shareds == (0,)
+        assert all(model.statuses[status] in ("V0", "V1") and values == (0,)
+                   for status, values in procs)
 
 
 def test_zero_process_instance_self_loops():
@@ -49,18 +61,6 @@ def test_zero_process_instance_self_loops():
     (empty,) = states
     assert empty == ((), (0,))
     assert inst.successors(empty) == [empty]
-
-
-def test_global_state_round_trip():
-    inst = byz_instance()
-    for state in inst.initial_states():
-        g = inst.to_global_state(state)
-        assert isinstance(g, GlobalState)
-        assert inst.from_global_state(g) == state
-    g0 = initial_global_states(inst)[0]
-    assert g0.params == (("n", 7), ("t", 2), ("f", 2))
-    assert g0.shareds == (("nsnt", 0),)
-    assert all(status in ("V0", "V1") for status, _ in g0.procs)
 
 
 def test_successors_move_one_process_and_frame_the_rest():
@@ -94,60 +94,72 @@ def test_symmetric_successors_are_canonical_quotient():
     frontier = full.initial_states()
     for _ in range(60):
         state = rng.choice(frontier)
-        via_full = {full.canonical(s) for s in full.successors(state)}
-        via_reduced = set(reduced.successors(full.canonical(state)))
+        via_full = {canonical(s) for s in full.successors(state)}
+        via_reduced = set(reduced.successors(canonical(state)))
         assert via_full == via_reduced
         frontier = full.successors(state) or frontier
 
 
 def test_canonicalize_is_idempotent_and_label_preserving():
+    # Compiled propositions cannot tell a state from any permutation of its
+    # process vector; the sorted vector is a fixed point that every
+    # permutation reaches, and the symmetric engine yields only such states.
     inst = byz_instance()
     model = load_builtin("byz")
-    statuses = model.statuses
     props = [StatusProp("all", "V0", True), StatusProp("some", "AC", True),
              StatusProp("all", "V1", False),
              LessProp("rcvd", LinearForm(), "nsnt"),
              LessProp("rcvd", LinearForm.of(f=1), "nsnt")]
+    compiled = [inst.compile_ap(prop) for prop in props]
     rng = random.Random("canon")
     for _ in range(300):
-        procs = tuple((rng.choice(statuses),
-                       (("rcvd", rng.randrange(0, 5)),))
+        procs = tuple((rng.randrange(len(model.statuses)),
+                       (rng.randrange(0, 5),))
                       for _ in range(4))
-        g = GlobalState(procs, (("nsnt", rng.randrange(0, 5)),),
-                        (("n", 7), ("t", 2), ("f", 2)))
-        c = canonicalize(g, statuses)
-        assert canonicalize(c, statuses) == c
-        assert sorted(c.procs) == sorted(g.procs)
-        for prop in props:
-            assert eval_atomic_prop(prop, c) == eval_atomic_prop(prop, g)
-        # Any permutation of the processes canonicalizes identically.
+        state = (procs, (rng.randrange(0, 5),))
+        c = canonical(state)
+        assert canonical(c) == c
+        assert sorted(c[0]) == sorted(procs)
         shuffled = list(procs)
         rng.shuffle(shuffled)
-        assert canonicalize(GlobalState(tuple(shuffled), g.shareds, g.params),
-                            statuses) == c
+        permuted = (tuple(shuffled), state[1])
+        assert canonical(permuted) == c
+        for prop, fn in zip(props, compiled):
+            assert fn(c) == fn(state) == fn(permuted)
+            assert fn(c) == eval_atomic_prop(prop, c, model, inst.env)
+        assert all(canonical(s) == s for s in inst.successors(c))
 
 
 def test_eval_atomic_prop_quantifiers():
-    empty = GlobalState((), (("nsnt", 3),), ())
-    assert eval_atomic_prop(StatusProp("all", "AC", True), empty) is True
-    assert eval_atomic_prop(StatusProp("some", "AC", True), empty) is False
-    assert eval_atomic_prop(LessProp("rcvd", LinearForm(), "nsnt"), empty) is False
+    model = load_builtin("byz")
+    inst = Instance(model, {"n": 7, "t": 2, "f": 1})
+    v0, ac = model.statuses.index("V0"), model.statuses.index("AC")
 
-    g = GlobalState((("V0", (("rcvd", 0),)), ("AC", (("rcvd", 3),))),
-                    (("nsnt", 2),), (("f", 1),))
-    assert eval_atomic_prop(StatusProp("some", "AC", True), g) is True
-    assert eval_atomic_prop(StatusProp("all", "AC", True), g) is False
-    assert eval_atomic_prop(StatusProp("all", "V1", False), g) is True
+    def holds(prop, state):
+        value = inst.compile_ap(prop)(state)
+        assert value == eval_atomic_prop(prop, state, model, inst.env)
+        return value
+
+    empty = ((), (3,))
+    assert holds(StatusProp("all", "AC", True), empty) is True
+    assert holds(StatusProp("some", "AC", True), empty) is False
+    assert holds(LessProp("rcvd", LinearForm(), "nsnt"), empty) is False
+
+    state = (((v0, (0,)), (ac, (3,))), (2,))
+    assert holds(StatusProp("some", "AC", True), state) is True
+    assert holds(StatusProp("all", "AC", True), state) is False
+    assert holds(StatusProp("all", "V1", False), state) is True
     # rcvd < nsnt holds for the first process (0 < 2), not the second.
-    assert eval_atomic_prop(LessProp("rcvd", LinearForm(), "nsnt"), g) is True
+    assert holds(LessProp("rcvd", LinearForm(), "nsnt"), state) is True
     # rcvd + f < nsnt: 0+1 < 2 holds.
-    assert eval_atomic_prop(LessProp("rcvd", LinearForm.of(f=1), "nsnt"), g) is True
+    assert holds(LessProp("rcvd", LinearForm.of(f=1), "nsnt"), state) is True
     # shared-to-shared comparison is per-process but constant: nsnt < nsnt fails.
-    assert eval_atomic_prop(LessProp("nsnt", LinearForm(), "nsnt"), g) is False
+    assert holds(LessProp("nsnt", LinearForm(), "nsnt"), state) is False
 
 
 def test_compiled_ap_matches_direct_evaluation():
     inst = byz_instance()
+    model = load_builtin("byz")
     props = [StatusProp("all", "V0", True), StatusProp("some", "SE", True),
              StatusProp("some", "V1", False),
              LessProp("rcvd", LinearForm(), "nsnt"),
@@ -159,27 +171,18 @@ def test_compiled_ap_matches_direct_evaluation():
         state = rng.choice(sorted(seen)[:500])
         for s in inst.successors(state):
             seen.add(s)
-        g = inst.to_global_state(state)
         for prop in props:
-            assert inst.eval_ap(prop, state) == eval_atomic_prop(prop, g)
-
-
-def test_global_successor_wrappers():
-    inst = byz_instance()
-    g0 = initial_global_states(inst)[0]
-    succ = global_successors(g0, inst)
-    assert succ
-    assert all(isinstance(s, GlobalState) for s in succ)
-    back = {inst.from_global_state(s) for s in succ}
-    assert back == set(inst.successors(inst.from_global_state(g0)))
+            assert inst.compile_ap(prop)(state) == \
+                eval_atomic_prop(prop, state, model, inst.env)
 
 
 def test_unknown_names_raise():
     inst = byz_instance()
-    state = inst.initial_states()[0]
     with pytest.raises(ModelError):
-        inst.eval_ap(StatusProp("all", "ZZ", True), state)
+        inst.compile_ap(StatusProp("all", "ZZ", True))
     with pytest.raises(ModelError):
-        inst.eval_ap(LessProp("zz", LinearForm(), "nsnt"), state)
+        inst.compile_ap(LessProp("zz", LinearForm(), "nsnt"))
+    # Named states enter the engine only through trace parsing.
     with pytest.raises(ModelError):
-        inst.from_global_state(GlobalState((("ZZ", (("rcvd", 0),)),), (("nsnt", 0),), ()))
+        parse_trace(f"{TRACE_MAGIC}\nmodel: byz\nprefix:\n"
+                    "  0: nsnt=0 | ZZ(rcvd=0) | -\n", load_builtin("byz"))

@@ -183,13 +183,9 @@ def build_buchi(nnf: Formula) -> BuchiAutomaton:
 
 def _degeneralize(aps, labels, succ, initial, acc_sets) -> BuchiAutomaton:
     """Counter construction: track which acceptance obligation is awaited;
-    accept when all have been seen since the last reset."""
+    accept when all have been seen since the last reset.  With no
+    acceptance sets the counter stays at 0 == k, so every state accepts."""
     k = len(acc_sets)
-    if k == 0:
-        reached = _reachable_renumber(labels, succ, initial,
-                                      accepting=lambda q, lvl: True,
-                                      advance=lambda lvl, q: 0)
-        return BuchiAutomaton(aps, *reached)
 
     def advance(level: int, q: int) -> int:
         j = 0 if level == k else level

@@ -13,6 +13,7 @@ lasso word (buchi_accepts_lasso).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -58,7 +59,8 @@ class Lasso:
 class Verdict:
     """Outcome of one check.  The counts are those of the search, also when
     it stopped at the state cap: ``product_states`` distinct product nodes
-    stored, ``kripke_states`` distinct system states reached, and
+    stored, ``kripke_states`` distinct system states this search reached
+    (also those an earlier check of the same instance built), and
     ``transitions`` product edges generated over all expansions, the red
     search's re-expansions of already stored nodes included (so an edge can
     be counted more than once)."""
@@ -164,8 +166,9 @@ def _red_search(seed, successors, colors, red):
 class Product:
     """Lazy product of an instance's state graph with a Büchi automaton.
 
-    Nodes are packed integers gid * n_automaton_states + automaton_state;
-    global states are interned to dense gids on first visit.
+    Nodes are packed integers gid * n_automaton_states + automaton_state,
+    where gid is the instance's id of the global state.  The graph belongs
+    to the instance; the product labels each state it reaches, once.
     """
 
     def __init__(self, inst: Instance, ba: BuchiAutomaton):
@@ -175,24 +178,13 @@ class Product:
         self._ap_funcs = [inst.compile_ap(ap) for ap in ba.aps]
         self._needs = [(_bits(t), _bits(fs)) for t, fs in ba.labels]
         self._accept_flags = [q in ba.accepting for q in range(ba.n_states())]
-        self._gstates: list[EngineState] = []
-        self._gindex: dict[EngineState, int] = {}
-        self._gsucc: dict[int, tuple[int, ...]] = {}
         self._gmask: dict[int, int] = {}
         self.transitions = 0
-
-    def _intern(self, state: EngineState) -> int:
-        gid = self._gindex.get(state)
-        if gid is None:
-            gid = len(self._gstates)
-            self._gindex[state] = gid
-            self._gstates.append(state)
-        return gid
 
     def _mask(self, gid: int) -> int:
         mask = self._gmask.get(gid)
         if mask is None:
-            state = self._gstates[gid]
+            state = self.inst.states[gid]
             mask = 0
             for bit, fn in enumerate(self._ap_funcs):
                 if fn(state):
@@ -200,18 +192,10 @@ class Product:
             self._gmask[gid] = mask
         return mask
 
-    def _kripke_successors(self, gid: int) -> tuple[int, ...]:
-        cached = self._gsucc.get(gid)
-        if cached is None:
-            cached = tuple(self._intern(s)
-                           for s in self.inst.successors(self._gstates[gid]))
-            self._gsucc[gid] = cached
-        return cached
-
     def initial_nodes(self) -> list[int]:
         nodes = []
         for state in self.inst.initial_states():
-            gid = self._intern(state)
+            gid = self.inst.state_id(state)
             mask = self._mask(gid)
             for q in self.ba.initial:
                 need_true, need_false = self._needs[q]
@@ -223,7 +207,7 @@ class Product:
         gid, q = divmod(node, self.nq)
         out = []
         ba_succ = self.ba.succ[q]
-        for gid2 in self._kripke_successors(gid):
+        for gid2 in self.inst.successor_ids(gid):
             mask = self._mask(gid2)
             base = gid2 * self.nq
             for q2 in ba_succ:
@@ -237,10 +221,10 @@ class Product:
         return self._accept_flags[node % self.nq]
 
     def kripke_state_count(self) -> int:
-        return len(self._gstates)
+        return len(self._gmask)
 
     def project(self, nodes: list[int]) -> list[EngineState]:
-        return [self._gstates[node // self.nq] for node in nodes]
+        return [self.inst.states[node // self.nq] for node in nodes]
 
 
 def _bits(indices) -> int:
@@ -287,8 +271,8 @@ def product_nested_dfs(inst: Instance, ba: BuchiAutomaton,
 
     Returns (lasso, stats) where lasso is None iff the product accepts nothing
     (the checked property holds), and stats is a dict with keys
-    product_states, kripke_states, transitions.  The lasso's ap_truth is
-    evaluated directly on the instance, in automaton AP order.  Raises
+    product_states, kripke_states, transitions.  The lasso's ap_truth comes
+    from the labels the search computed.  Raises
     ResourceCapExceeded if the cap is hit, with the stats reached so far.
     """
     product = Product(inst, ba)
@@ -308,12 +292,11 @@ def product_nested_dfs(inst: Instance, ba: BuchiAutomaton,
     if result is None:
         return None, stats
     prefix_nodes, cycle_nodes = result
-    prefix = product.project(prefix_nodes)
-    cycle = product.project(cycle_nodes)
-    evaluators = [inst.compile_ap(ap) for ap in ba.aps]
-    truth = [frozenset(ap for ap, fn in zip(ba.aps, evaluators) if fn(s))
-             for s in prefix + cycle]
-    return Lasso(prefix, cycle, truth), stats
+    truth = [frozenset(ap for bit, ap in enumerate(ba.aps)
+                       if product._mask(node // product.nq) >> bit & 1)
+             for node in prefix_nodes + cycle_nodes]
+    return Lasso(product.project(prefix_nodes), product.project(cycle_nodes),
+                 truth), stats
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +305,17 @@ def product_nested_dfs(inst: Instance, ba: BuchiAutomaton,
 def replay_lasso(inst: Instance, lasso: Lasso, negated: Formula) -> list[str]:
     """Re-derive everything the lasso claims; returns problems (empty = valid).
 
-    Checks that consecutive states (including the cycle's wrap-around) are
-    instance transitions, that the recorded proposition sets match direct
-    evaluation, and that the negated formula is true on the lasso's word.
+    Checks that the first state is initial, that consecutive states
+    (including the cycle's wrap-around) are instance transitions, that the
+    recorded proposition sets match direct evaluation, and that the negated
+    formula is true on the lasso's word.
     """
     problems: list[str] = []
     states = lasso.states()
     if not lasso.cycle:
         return ["lasso has an empty cycle"]
+    if states[0] not in inst.initial_states():
+        problems.append("position 0: first state is not an initial state")
     for i, (here, there) in enumerate(zip(states, states[1:])):
         if there not in inst.successors(here):
             problems.append(f"position {i}: recorded transition is not a successor")
@@ -362,16 +348,24 @@ def combined_formula(model: ModelDef, spec_name: str, fairness: bool) -> Formula
     return Or(left + right)
 
 
+@functools.lru_cache(maxsize=1)
+def _instance(model: ModelDef, env_items: tuple[tuple[str, int], ...],
+              symmetry: bool) -> Instance:
+    return Instance(model, dict(env_items), symmetry=symmetry)
+
+
 def check_spec(model: ModelDef, env: ParamEnv, spec_name: str,
                fairness: bool = True, symmetry: bool = True,
                max_states: int = DEFAULT_MAX_PRODUCT_STATES) -> Verdict:
     """Decide whether every run of Instance(model, env) satisfies the spec
-    (with its unfairness escape clause, unless fairness is disabled)."""
+    (with its unfairness escape clause, unless fairness is disabled).
+    Consecutive checks of one instance share its state graph and step
+    cache, which stay referenced until a check of another instance starts."""
     started = time.monotonic()
     target = combined_formula(model, spec_name, fairness)
     negated = negate_to_nnf(target)
     ba = build_buchi(negated)
-    inst = Instance(model, env, symmetry=symmetry)
+    inst = _instance(model, tuple(sorted(env.items())), symmetry)
 
     def elapsed() -> int:
         return int((time.monotonic() - started) * 1000)

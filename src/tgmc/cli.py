@@ -2,13 +2,14 @@
 
 Subcommands: ``check`` (one model/params/spec), ``bench`` (reproduce a
 manifest of expected verdicts), ``paths`` (list a model's step paths).
-Exit codes: 0 holds / all match, 1 violated / mismatch, 2 usage or model
-error, 3 resource cap reached.
+Exit codes: 0 holds / all match, 1 violated / mismatch, 2 usage, model or
+file error, 3 resource cap reached.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -77,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_paths(args)
-    except ModelError as exc:
+    except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -162,16 +163,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    records = run_manifest(args.manifest, jobs=args.jobs,
-                           max_states=args.max_states,
-                           symmetry=not args.no_symmetry)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_records_csv(records, fh)
-        print(summarize(records))
-    else:
-        write_records_csv(records, sys.stdout)
-        print(summarize(records), file=sys.stderr)
+    # Open --out first, so that a bad path fails before any check runs.
+    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        records = run_manifest(args.manifest, jobs=args.jobs,
+                               max_states=args.max_states,
+                               symmetry=not args.no_symmetry)
+        write_records_csv(records, out)
+    print(summarize(records), file=sys.stdout if args.out else sys.stderr)
     return exit_code_for(records)
 
 

@@ -57,9 +57,6 @@ class LinearForm:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.coeffs)
 
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
     def render(self) -> str:
         """Concrete syntax, e.g. ``n - 3*t + 1``.  Inverse of the parser."""
         parts: list[str] = []

@@ -236,9 +236,6 @@ class _Parser:
         self.diagnostics.append(Diagnostic(tok.line, tok.col, message))
         raise _Recover()
 
-    def note(self, message: str, tok: Token) -> None:
-        self.diagnostics.append(Diagnostic(tok.line, tok.col, message))
-
     def skip_statement(self) -> None:
         """Panic recovery: skip past the next ';' (or a closing '}')."""
         depth = 0
@@ -284,29 +281,6 @@ class _Parser:
             first = False
             if not (self.at("+") or self.at("-")):
                 break
-        return LinearForm(normalize_coeffs(coeffs.items()), const)
-
-    def parse_offset_terms(self) -> LinearForm:
-        """Optional ``± term ± term ...`` continuation after a variable name."""
-        coeffs: dict[str, int] = {}
-        const = 0
-        while self.at("+") or self.at("-"):
-            sign = -1 if self.take("-") else 1
-            if sign == 1:
-                self.take("+")
-            tok = self.peek()
-            if tok.kind == "int":
-                value = self.expect_int()
-                if self.take("*"):
-                    name = self.expect_ident("parameter name")
-                    coeffs[name] = coeffs.get(name, 0) + sign * value
-                else:
-                    const += sign * value
-            elif tok.kind == "ident":
-                name = self.expect_ident("parameter name")
-                coeffs[name] = coeffs.get(name, 0) + sign
-            else:
-                self.fail(f"expected offset term, found {self._describe(tok)}")
         return LinearForm(normalize_coeffs(coeffs.items()), const)
 
     def parse_comparison(self) -> Comparison:
@@ -375,7 +349,8 @@ class _Parser:
         lhs = self.expect_ident(f"variable name or {EPS!r}")
         self.expect("<=")
         rhs = self.expect_ident(f"variable name or {EPS!r}")
-        offset = self.parse_offset_terms()
+        offset = (self.parse_linear_form() if self.at("+") or self.at("-")
+                  else LinearForm())
         return PickAtom(lhs, rhs, offset)
 
     # -- formulas ------------------------------------------------------------
@@ -459,7 +434,8 @@ class _Parser:
             self.fail("comparisons between variables are existential: "
                       "use 'some(x [± offset] < y)'", tok)
         x = self.expect_ident("variable name")
-        offset = self.parse_offset_terms()
+        offset = (self.parse_linear_form() if self.at("+") or self.at("-")
+                  else LinearForm())
         self.expect("<")
         y = self.expect_ident("variable name")
         self.expect(")")

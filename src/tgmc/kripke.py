@@ -63,6 +63,11 @@ class Instance:
         # (proc entry, shareds) -> tuple of successor (proc entry, shareds)
         self._step_cache: dict[tuple[ProcEntry, tuple[int, ...]],
                                tuple[tuple[ProcEntry, tuple[int, ...]], ...]] = {}
+        # The state graph, built on demand and shared by every search over
+        # this instance: states interned to dense ids, successor ids per id.
+        self.states: list[EngineState] = []
+        self._state_ids: dict[EngineState, int] = {}
+        self._successor_ids: list[tuple[int, ...] | None] = []
 
     # -- initial states ------------------------------------------------------
 
@@ -127,6 +132,28 @@ class Instance:
             # every run is infinite.
             out[state] = None
         return list(out)
+
+    # -- state graph ----------------------------------------------------------
+
+    def state_id(self, state: EngineState) -> int:
+        """The dense id of ``state``, interning it on first sight."""
+        gid = self._state_ids.get(state)
+        if gid is None:
+            gid = len(self.states)
+            self._state_ids[state] = gid
+            self.states.append(state)
+            self._successor_ids.append(None)
+        return gid
+
+    def successor_ids(self, gid: int) -> tuple[int, ...]:
+        """Ids of the successors of state ``gid``, in ``successors`` order;
+        ``successors`` runs at most once per state."""
+        succ = self._successor_ids[gid]
+        if succ is None:
+            succ = tuple(self.state_id(s)
+                         for s in self.successors(self.states[gid]))
+            self._successor_ids[gid] = succ
+        return succ
 
     # -- labeling -------------------------------------------------------------
 

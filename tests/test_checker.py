@@ -110,6 +110,44 @@ def test_product_counts_are_consistent():
     assert product.kripke_state_count() <= stored
 
 
+def test_searches_share_the_instance_graph():
+    model = load_builtin("byz")
+    env = {"n": 7, "t": 1, "f": 2}
+    automata = {spec: build_buchi(negate_to_nnf(
+                    combined_formula(model, spec, fairness=True)))
+                for spec in ("relay", "corr")}
+    runs = [("relay", None), ("corr", None), ("corr", 500), ("corr", None)]
+
+    def search(inst, spec, cap):
+        try:
+            return product_nested_dfs(inst, automata[spec], max_states=cap)
+        except ResourceCapExceeded as exc:
+            return "capped", exc.stats
+
+    shared = Instance(model, env)
+    expanded = []
+    successors = shared.successors
+
+    def counting_successors(state):
+        expanded.append(state)
+        return successors(state)
+
+    shared.successors = counting_successors
+    calls, outcomes = [], []
+    for spec, cap in runs:
+        before = len(expanded)
+        lasso, stats = search(shared, spec, cap)
+        calls.append(len(expanded) - before)
+        assert (lasso, stats) == search(Instance(model, env), spec, cap)
+        assert stats["kripke_states"] > 0
+        outcomes.append(lasso if lasso in (None, "capped") else "lasso")
+    assert outcomes == ["lasso", "lasso", "capped", "lasso"]
+    # Every state is expanded at most once over all four searches, and the
+    # capped and the second corr search reuse what the first two built.
+    assert len(set(expanded)) == len(expanded)
+    assert calls[0] > 0 and calls[1] > 0 and calls[2] == 0 and calls[3] == 0
+
+
 def test_combined_formula_shapes():
     model = load_builtin("byz")
     corr = model.spec("corr").formula
@@ -185,6 +223,12 @@ def test_replay_rejects_corrupted_lassos():
     # Empty cycles are malformed.
     empty = Lasso(prefix=list(lasso.states()), cycle=[])
     assert replay_lasso(inst, empty, verdict.negated) != []
+
+    # A run must start in an initial state: drop the first prefix state.
+    cut = Lasso(prefix=list(lasso.prefix[1:]), cycle=list(lasso.cycle),
+                ap_truth=list(lasso.ap_truth[1:]))
+    assert any("initial" in problem
+               for problem in replay_lasso(inst, cut, verdict.negated))
 
 
 def test_verdict_fields_document_the_run():

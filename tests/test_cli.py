@@ -82,7 +82,7 @@ def test_check_trace_file_and_verification(capsys, tmp_path):
     assert err.strip()
 
 
-def test_check_usage_errors(capsys):
+def test_check_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", "--model", "builtin:byz")
     assert code == 2
     assert "error:" in err
@@ -99,6 +99,19 @@ def test_check_usage_errors(capsys):
     code, _, err = run_cli(capsys, "check", "--model", "builtin:byz",
                            "--params", "n=7,t=2", "--spec", "unforg")
     assert code == 2
+
+    # File errors are usage errors, not verdicts.
+    missing_dir = tmp_path / "missing"
+    code, _, err = run_cli(capsys, "check", "--model", "builtin:clean",
+                           "--params", "n=3,t=3", "--spec", "unforg",
+                           "--trace", str(missing_dir / "t.txt"))
+    assert code == 2
+    assert "error:" in err
+
+    code, _, err = run_cli(capsys, "check", "--model", "builtin:byz",
+                           "--verify-trace", str(missing_dir / "t.txt"))
+    assert code == 2
+    assert "error:" in err
 
 
 def test_check_resource_cap_exit_code(capsys):
@@ -137,12 +150,25 @@ def test_bench_stdout_and_exit(capsys, tmp_path):
     assert "MISMATCH" in err
 
 
-def test_bench_bad_manifest(capsys, tmp_path):
+def test_bench_bad_manifest(capsys, tmp_path, monkeypatch):
     manifest = tmp_path / "m.csv"
     manifest.write_text("model,params\nbyz,n=1\n")
     code, _, err = run_cli(capsys, "bench", "--manifest", str(manifest))
     assert code == 2
     assert "error:" in err
+
+    # An --out path that cannot be opened fails before any check runs.
+    manifest.write_text("model,params,spec,expected,tier\n"
+                        'clean,"n=3,t=3",unforg,violated,required\n')
+    runs = []
+    monkeypatch.setattr("tgmc.cli.run_manifest",
+                        lambda *args, **kwargs: runs.append(args))
+    code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest),
+                             "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
+    assert runs == []
 
 
 def test_paths_command(capsys):

@@ -1,5 +1,7 @@
-"""The demos run, and the package's advertised names exist."""
+"""The demos run, the package's advertised names exist, and the runtime
+imports nothing outside the standard library."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -33,3 +35,20 @@ def test_demo_runs(demo, tmp_path):
 def test_public_names_resolve():
     for name in tgmc.__all__:
         assert getattr(tgmc, name) is not None, name
+
+
+def test_runtime_imports_only_the_standard_library():
+    sources = sorted(Path(tgmc.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    for source in sources:
+        tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{source.name}: {name}"

@@ -148,6 +148,24 @@ def test_offset_spec_atom_shapes():
     inner = unfair.arg.arg
     assert inner == Literal(LessProp("rcvd", LinearForm.of(t=-1), "nsnt"))
 
+    text = MINIMAL.replace("F G some(rcvd < nsnt)",
+                           "F G some(rcvd - t + 2*n - 1 < nsnt)") \
+                  .replace("eps <= nsnt;", "eps <= nsnt - 2*t + 1;")
+    m = parse_model(text)
+    assert m.unfairness_formula("starving").arg.arg.ap.offset == \
+        LinearForm.of(-1, n=2, t=-1)
+    pick = m.cfa.edges[0].op
+    assert [a.offset for a in pick.cond.atoms] == \
+        [LinearForm(), LinearForm.of(1, t=-2)]
+
+    for old, new, where in (("F G some(rcvd < nsnt)", "F G some(rcvd - < nsnt)",
+                             "16:34:"),
+                            ("eps <= nsnt;", "eps <= nsnt + ;", "11:64:")):
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(MINIMAL.replace(old, new))
+        assert err.value.diagnostics[0].render().startswith(
+            f"{where} expected linear-form term")
+
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtins_round_trip_through_formatter(name):

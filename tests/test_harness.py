@@ -207,3 +207,7 @@ def test_trace_verification_catches_broken_cycle():
     lines = [line for line in text.splitlines() if line.strip()]
     clipped = "\n".join(lines[:-1]) + "\n"
     assert verify_trace(clipped, model) != []
+    # Remove the first state: the run no longer starts in an initial state.
+    cut = "\n".join(line for line in lines
+                    if not line.startswith("  0:")) + "\n"
+    assert any("initial" in problem for problem in verify_trace(cut, model))

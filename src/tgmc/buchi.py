@@ -2,12 +2,15 @@
 construction, with one acceptance obligation per Until/Future subformula,
 degeneralized by a counter.
 
-Automaton states carry conjunctive literal labels: a state may be visited at a
-word position only if the position's letter satisfies every literal.  All node
-sets are sets of interned formula ids and every choice point is resolved by
-integer order, so the construction is deterministic and independent of
-PYTHONHASHSEED — state numbering, transition order, and hence search order and
-counterexamples are reproducible across runs.
+Automaton states carry conjunctive literal labels, as bitmasks over the
+formula's atomic propositions: a state may be visited at a word position only
+if the position's letter satisfies every literal.  The counter
+degeneralisation is done in the same pass, so the automaton comes out in the
+form the product search reads.  All node sets are sets of interned formula
+ids and every choice point is resolved by integer order, so the construction
+is deterministic and independent of PYTHONHASHSEED — state numbering,
+transition order, and hence search order and counterexamples are
+reproducible across runs.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ class BuchiAutomaton:
     infinitely often."""
 
     aps: tuple[AtomicProp, ...]
-    # Per state: (ap ids that must be true, ap ids that must be false).
-    labels: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    # Per state: (need_true_mask, need_false_mask); bit i stands for aps[i].
+    labels: list[tuple[int, int]]
     succ: list[tuple[int, ...]]
     initial: tuple[int, ...]
     accepting: frozenset[int]
@@ -165,67 +168,45 @@ def build_buchi(nnf: Formula) -> BuchiAutomaton:
             node for node in range(n_nodes)
             if theta not in node_old[node] or rhs in node_old[node]))
 
-    # Literal labels per node.
+    # Literal labels per node, as bitmasks over aps (bit i is aps[i]).
     aps = formula_aps(nnf)
-    ap_index = {ap: i for i, ap in enumerate(aps)}
-    gba_labels: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    ap_bit = {ap: 1 << i for i, ap in enumerate(aps)}
+    gba_labels: list[tuple[int, int]] = []
     for node in range(n_nodes):
-        need_true: list[int] = []
-        need_false: list[int] = []
-        for fid in sorted(node_old[node]):
+        need_true = need_false = 0
+        for fid in node_old[node]:
             f = formulas[fid]
             if isinstance(f, Literal):
-                (need_false if f.negated else need_true).append(ap_index[f.ap])
-        gba_labels.append((tuple(need_true), tuple(need_false)))
+                if f.negated:
+                    need_false |= ap_bit[f.ap]
+                else:
+                    need_true |= ap_bit[f.ap]
+        gba_labels.append((need_true, need_false))
 
-    return _degeneralize(aps, gba_labels, gba_succ, gba_initial, acc_sets)
-
-
-def _degeneralize(aps, labels, succ, initial, acc_sets) -> BuchiAutomaton:
-    """Counter construction: track which acceptance obligation is awaited;
-    accept when all have been seen since the last reset.  With no
-    acceptance sets the counter stays at 0 == k, so every state accepts."""
+    # Counter degeneralisation: pair each node with the index of the
+    # obligation it awaits; level k (all seen since the last reset) accepts,
+    # and the next step starts over at 0.  With no obligations the level
+    # stays at 0 == k, so every state accepts.  Pairs are numbered
+    # breadth-first from a virtual source (-1, k) whose successors are the
+    # initial nodes; the loop visits the pairs that it appends to ``order``.
     k = len(acc_sets)
-
-    def advance(level: int, q: int) -> int:
-        j = 0 if level == k else level
-        while j < k and q in acc_sets[j]:
-            j += 1
-        return j
-
-    reached = _reachable_renumber(labels, succ, initial,
-                                  accepting=lambda q, lvl: lvl == k,
-                                  advance=advance)
-    return BuchiAutomaton(aps, *reached)
-
-
-def _reachable_renumber(labels, succ, initial, accepting, advance):
-    """Breadth-first numbering of the reachable (state, counter) product."""
+    order: list[tuple[int, int]] = [(-1, k)]
     index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
+    rows: list[tuple[int, ...]] = []
+    for q, level in order:
+        row = []
+        for q2 in gba_succ[q] if q >= 0 else gba_initial:
+            j = 0 if level == k else level
+            while j < k and q2 in acc_sets[j]:
+                j += 1
+            found = index.get((q2, j))
+            if found is None:
+                found = index[q2, j] = len(order) - 1
+                order.append((q2, j))
+            row.append(found)
+        rows.append(tuple(row))
 
-    def visit(pair: tuple[int, int]) -> int:
-        found = index.get(pair)
-        if found is None:
-            found = len(order)
-            index[pair] = found
-            order.append(pair)
-        return found
-
-    new_initial = []
-    for q in initial:
-        new_initial.append(visit((q, advance(0, q))))
-    frontier = 0
-    new_succ: list[tuple[int, ...]] = []
-    while frontier < len(order):
-        q, lvl = order[frontier]
-        targets = []
-        for q2 in succ[q]:
-            targets.append(visit((q2, advance(lvl, q2))))
-        new_succ.append(tuple(targets))
-        frontier += 1
-
-    new_labels = [labels[q] for q, _ in order]
-    new_accepting = frozenset(i for i, (q, lvl) in enumerate(order)
-                              if accepting(q, lvl))
-    return new_labels, new_succ, tuple(dict.fromkeys(new_initial)), new_accepting
+    return BuchiAutomaton(
+        aps, [gba_labels[q] for q, _ in order[1:]], rows[1:],
+        tuple(dict.fromkeys(rows[0])),
+        frozenset(i for i, (_, level) in enumerate(order[1:]) if level == k))

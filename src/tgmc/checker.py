@@ -4,9 +4,9 @@ counterexample lassos.
 The search is the classic two-color nested depth-first search, implemented
 iteratively (explicit stacks) so deep state spaces cannot overflow Python's
 recursion limit.  Every reported lasso is replay-validated before the verdict
-is returned: each transition is re-checked against the instance's successor
-relation and the negated formula is re-evaluated on the lasso's word by the
-direct fixpoint evaluator.  A verdict is therefore never justified by the
+is returned: each transition is re-checked against the reference step
+relation (``cfa.step_successors``, one process at a time) and the negated
+formula is re-evaluated on the lasso's word by the direct fixpoint evaluator.  A verdict is therefore never justified by the
 search alone.  The same search decides whether an automaton accepts one
 lasso word (buchi_accepts_lasso).
 """
@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .buchi import BuchiAutomaton, build_buchi
+from .cfa import step_successors
 from .core import ModelError, ParamEnv
 from .dsl import ModelDef
 from .kripke import EngineState, Instance
@@ -49,7 +50,7 @@ class Lasso:
 
     prefix: list[EngineState]
     cycle: list[EngineState]
-    ap_truth: list[frozenset[AtomicProp]] = field(default_factory=list)
+    ap_truth: list[frozenset[AtomicProp]]
 
     def states(self) -> list[EngineState]:
         return self.prefix + self.cycle
@@ -111,12 +112,10 @@ def nested_dfs(initial_nodes, successors, is_accepting,
             continue
         colors[start] = _CYAN
         check_cap()
-        stack = [(start, successors(start), 0)]
+        stack = [(start, iter(successors(start)))]
         while stack:
-            node, succs, idx = stack[-1]
-            if idx < len(succs):
-                stack[-1] = (node, succs, idx + 1)
-                child = succs[idx]
+            node, it = stack[-1]
+            for child in it:
                 color = colors.get(child)
                 if color == _CYAN and (is_accepting(node) or is_accepting(child)):
                     chain = [frame[0] for frame in stack]
@@ -125,38 +124,37 @@ def nested_dfs(initial_nodes, successors, is_accepting,
                 if color is None:
                     colors[child] = _CYAN
                     check_cap()
-                    stack.append((child, successors(child), 0))
-                continue
-            stack.pop()
-            if is_accepting(node):
-                found = _red_search(node, successors, colors, red)
-                if found is not None:
-                    red_path, target = found
-                    chain = [frame[0] for frame in stack] + [node]
-                    at = chain.index(target)
-                    cycle = chain[at:] + red_path[1:]
-                    return (chain[:at], cycle), len(colors)
-            colors[node] = _BLUE
+                    stack.append((child, iter(successors(child))))
+                    break
+            else:
+                stack.pop()
+                if is_accepting(node):
+                    found = _red_search(node, successors, colors, red)
+                    if found is not None:
+                        red_path, target = found
+                        chain = [frame[0] for frame in stack] + [node]
+                        at = chain.index(target)
+                        cycle = chain[at:] + red_path[1:]
+                        return (chain[:at], cycle), len(colors)
+                colors[node] = _BLUE
     return None, len(colors)
 
 
 def _red_search(seed, successors, colors, red):
     """Depth-first hunt, from an accepting postorder node, for an edge back
     into the blue stack (a cyan node).  Returns (path seed..last, target)."""
-    stack = [(seed, successors(seed), 0)]
+    stack = [(seed, iter(successors(seed)))]
     red.add(seed)
     while stack:
-        node, succs, idx = stack[-1]
-        if idx < len(succs):
-            stack[-1] = (node, succs, idx + 1)
-            child = succs[idx]
+        for child in stack[-1][1]:
             if colors.get(child) == _CYAN:
                 return [frame[0] for frame in stack], child
             if child not in red:
                 red.add(child)
-                stack.append((child, successors(child), 0))
-            continue
-        stack.pop()
+                stack.append((child, iter(successors(child))))
+                break
+        else:
+            stack.pop()
     return None
 
 
@@ -176,7 +174,6 @@ class Product:
         self.ba = ba
         self.nq = max(ba.n_states(), 1)
         self._ap_funcs = [inst.compile_ap(ap) for ap in ba.aps]
-        self._needs = [(_bits(t), _bits(fs)) for t, fs in ba.labels]
         self._accept_flags = [q in ba.accepting for q in range(ba.n_states())]
         self._gmask: dict[int, int] = {}
         self.transitions = 0
@@ -198,7 +195,7 @@ class Product:
             gid = self.inst.state_id(state)
             mask = self._mask(gid)
             for q in self.ba.initial:
-                need_true, need_false = self._needs[q]
+                need_true, need_false = self.ba.labels[q]
                 if mask & need_true == need_true and not mask & need_false:
                     nodes.append(gid * self.nq + q)
         return nodes
@@ -207,11 +204,12 @@ class Product:
         gid, q = divmod(node, self.nq)
         out = []
         ba_succ = self.ba.succ[q]
+        labels = self.ba.labels
         for gid2 in self.inst.successor_ids(gid):
             mask = self._mask(gid2)
             base = gid2 * self.nq
             for q2 in ba_succ:
-                need_true, need_false = self._needs[q2]
+                need_true, need_false = labels[q2]
                 if mask & need_true == need_true and not mask & need_false:
                     out.append(base + q2)
         self.transitions += len(out)
@@ -227,13 +225,6 @@ class Product:
         return [self.inst.states[node // self.nq] for node in nodes]
 
 
-def _bits(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
 def buchi_accepts_lasso(ba: BuchiAutomaton, prefix_letters, cycle_letters) -> bool:
     """Membership of the ultimately periodic word prefix·cycle^ω, where each
     letter is a container of the AtomicProps true at its position.
@@ -245,16 +236,16 @@ def buchi_accepts_lasso(ba: BuchiAutomaton, prefix_letters, cycle_letters) -> bo
     if not cycle_letters:
         raise ModelError("lasso cycle must be non-empty")
     letters = list(prefix_letters) + list(cycle_letters)
-    masks = [_bits(i for i, ap in enumerate(ba.aps) if ap in letter)
+    masks = [sum(1 << i for i, ap in enumerate(ba.aps) if ap in letter)
              for letter in letters]
     nxt = list(range(1, len(letters))) + [len(prefix_letters)]
-    needs = [(_bits(t), _bits(fs)) for t, fs in ba.labels]
+    labels = ba.labels
     nq = max(ba.n_states(), 1)
 
     def entered(pos: int, states) -> list[int]:
         mask = masks[pos]
         return [pos * nq + q for q in states
-                if mask & needs[q][0] == needs[q][0] and not mask & needs[q][1]]
+                if mask & labels[q][0] == labels[q][0] and not mask & labels[q][1]]
 
     def successors(node: int) -> list[int]:
         pos, q = divmod(node, nq)
@@ -305,10 +296,12 @@ def product_nested_dfs(inst: Instance, ba: BuchiAutomaton,
 def replay_lasso(inst: Instance, lasso: Lasso, negated: Formula) -> list[str]:
     """Re-derive everything the lasso claims; returns problems (empty = valid).
 
-    Checks that the first state is initial, that consecutive states
-    (including the cycle's wrap-around) are instance transitions, that the
+    Checks that the first state is initial, that each consecutive pair of
+    states (the cycle's wrap-around included) is the move of one process
+    by the reference step relation, ``cfa.step_successors``, that the
     recorded proposition sets match direct evaluation, and that the negated
-    formula is true on the lasso's word.
+    formula is true on the lasso's word.  The edges are not checked with
+    ``inst.successors`` or its step cache, the fast path that found them.
     """
     problems: list[str] = []
     states = lasso.states()
@@ -316,18 +309,41 @@ def replay_lasso(inst: Instance, lasso: Lasso, negated: Formula) -> list[str]:
         return ["lasso has an empty cycle"]
     if states[0] not in inst.initial_states():
         problems.append("position 0: first state is not an initial state")
-    for i, (here, there) in enumerate(zip(states, states[1:])):
-        if there not in inst.successors(here):
-            problems.append(f"position {i}: recorded transition is not a successor")
-    wrap_src = lasso.cycle[-1]
-    wrap_dst = lasso.cycle[0]
-    if wrap_dst not in inst.successors(wrap_src):
-        problems.append("cycle does not close (last cycle state cannot reach the first)")
+    moves: dict = {}   # (entry, shareds) -> that process's reference moves
+
+    def is_step(here: EngineState, there: EngineState) -> bool:
+        """One process moves; the others keep their entries, by position or,
+        under symmetry, up to the canonical sort.  A state in which no
+        process can move repeats."""
+        procs, shareds = here
+        stuck = True
+        for i, entry in enumerate(procs):
+            found = moves.get((entry, shareds))
+            if found is None:
+                valuation = inst.valuation(entry, shareds)
+                found = moves[entry, shareds] = [
+                    inst.entry(succ)
+                    for succ in step_successors(valuation, inst.model.cfa)]
+            for new_entry, new_shareds in found:
+                stuck = False
+                new_procs = procs[:i] + (new_entry,) + procs[i + 1:]
+                if inst.symmetry:
+                    new_procs = tuple(sorted(new_procs))
+                if (new_procs, new_shareds) == there:
+                    return True
+        return stuck and here == there
+
+    for i, here in enumerate(states):
+        if i + 1 < len(states):
+            if not is_step(here, states[i + 1]):
+                problems.append(f"position {i}: recorded transition is not a successor")
+        elif not is_step(here, lasso.cycle[0]):
+            problems.append("cycle does not close (last cycle state cannot reach the first)")
 
     aps = formula_aps(negated)
     evaluators = {ap: inst.compile_ap(ap) for ap in aps}
     truth = [frozenset(ap for ap in aps if evaluators[ap](state)) for state in states]
-    if lasso.ap_truth and [set(t) for t in truth] != [set(t) for t in lasso.ap_truth]:
+    if [set(t) for t in truth] != [set(t) for t in lasso.ap_truth]:
         problems.append("recorded proposition sets disagree with direct evaluation")
     split = len(lasso.prefix)
     if not eval_formula_on_lasso(negated, truth[:split], truth[split:]):

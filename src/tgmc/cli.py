@@ -17,12 +17,30 @@ from .checker import DEFAULT_MAX_PRODUCT_STATES, check_spec
 from .cfa import enumerate_paths
 from .core import ModelError, check_resilience
 from .dsl import parse_params_binding
-from .harness import (exit_code_for, render_state, render_trace,
-                      resolve_model, run_manifest, summarize, verify_trace,
-                      write_records_csv)
+from .harness import (RunRecord, render_state, render_trace, resolve_model,
+                      run_manifest, summarize, verify_trace, write_records_csv)
 from .ltl import render_formula
 
 EXIT_OK, EXIT_VIOLATED, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
+
+
+def exit_code_for(records: list[RunRecord]) -> int:
+    """A mismatch dominates an inconclusive run, which dominates success."""
+    if any(r.match is False for r in records):
+        return EXIT_VIOLATED
+    if any(r.verdict == "inconclusive" for r in records):
+        return EXIT_CAP
+    return EXIT_OK
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="instead of checking, replay a previously "
                             "written trace file against the model")
     check.add_argument("--format", choices=("text", "json"), default="text")
-    check.add_argument("--max-states", type=int,
+    check.add_argument("--max-states", type=_at_least_one,
                        default=DEFAULT_MAX_PRODUCT_STATES,
                        help="product-state cap before giving up as "
                             "inconclusive (default %(default)s)")
@@ -56,11 +74,11 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a manifest of expected verdicts")
     bench.add_argument("--manifest", required=True,
                        help="CSV with columns model,params,spec,expected,tier")
-    bench.add_argument("--jobs", type=int, default=1,
+    bench.add_argument("--jobs", type=_at_least_one, default=1,
                        help="worker processes (default 1)")
     bench.add_argument("--out", metavar="CSV",
                        help="write per-case results here (default: stdout)")
-    bench.add_argument("--max-states", type=int,
+    bench.add_argument("--max-states", type=_at_least_one,
                        default=DEFAULT_MAX_PRODUCT_STATES)
     bench.add_argument("--no-symmetry", action="store_true")
 

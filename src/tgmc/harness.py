@@ -85,16 +85,16 @@ class RunRecord:
 
 def run_case(case: CaseSpec, *, symmetry: bool = True,
              max_states: int = DEFAULT_MAX_PRODUCT_STATES) -> RunRecord:
-    """Check one manifest case.  Fairness is on exactly when the spec carries
-    an `unless` clause.  Skip-tier cases are echoed without being run."""
+    """Check one manifest case, with fairness on (it acts only on specs that
+    carry an `unless` clause).  Skip-tier cases are echoed without being
+    run."""
     if case.expected == "skip" or case.tier in ("skip", "unmodeled"):
         return RunRecord(case=case, verdict="skip", match=None)
     try:
         model = resolve_model(case.model)
         env = parse_params_binding(case.params, model)
-        fairness = model.spec(case.spec).unless is not None
-        verdict = check_spec(model, env, case.spec, fairness=fairness,
-                             symmetry=symmetry, max_states=max_states)
+        verdict = check_spec(model, env, case.spec, symmetry=symmetry,
+                             max_states=max_states)
     except ModelError as exc:
         return RunRecord(case=case, verdict="error", match=False, detail=str(exc))
     if verdict.status == "inconclusive":
@@ -156,15 +156,17 @@ def _run_case_packed(args) -> RunRecord:
 def run_manifest(path: str, jobs: int = 1,
                  max_states: int = DEFAULT_MAX_PRODUCT_STATES,
                  symmetry: bool = True) -> list[RunRecord]:
-    """Run every case of a manifest; results come back in manifest order."""
+    """Run every case of a manifest in up to ``jobs`` worker processes (no
+    more than there are cases); results come back in manifest order."""
     cases = read_manifest(path)
     work = [(case, symmetry, max_states) for case in cases]
-    if jobs > 1 and len(work) > 1:
+    workers = min(jobs, len(work))
+    if workers > 1:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
             ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=jobs) as pool:
+        with ctx.Pool(processes=workers) as pool:
             return pool.map(_run_case_packed, work)
     return [_run_case_packed(item) for item in work]
 
@@ -203,14 +205,6 @@ def summarize(records: list[RunRecord]) -> str:
     return "\n".join(lines)
 
 
-def exit_code_for(records: list[RunRecord]) -> int:
-    if any(r.match is False for r in records):
-        return 1
-    if any(r.verdict == "inconclusive" for r in records):
-        return 3
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Trace rendering and verification.
 #
@@ -247,22 +241,20 @@ def render_state(state: EngineState, model: ModelDef) -> str:
     return f"{shared_part or '-'} | {' '.join(proc_parts) or '-'}"
 
 
-def render_trace(lasso: Lasso, model: ModelDef, *, env: ParamEnv | None = None,
-                 spec_name: str | None = None, fairness: bool = True,
+def render_trace(lasso: Lasso, model: ModelDef, *, env: ParamEnv,
+                 spec_name: str, fairness: bool = True,
                  symmetry: bool = True) -> str:
-    lines = [TRACE_MAGIC, f"model: {model.name}"]
-    if env is not None:
-        lines.append("params: " + ", ".join(f"{name}={env[name]}"
-                                            for name in model.params))
-    if spec_name is not None:
-        lines.append(f"spec: {spec_name}")
-    lines.append(f"fairness: {'on' if fairness else 'off'}")
-    lines.append(f"symmetry: {'on' if symmetry else 'off'}")
+    lines = [TRACE_MAGIC, f"model: {model.name}",
+             "params: " + ", ".join(f"{name}={env[name]}"
+                                    for name in model.params),
+             f"spec: {spec_name}",
+             f"fairness: {'on' if fairness else 'off'}",
+             f"symmetry: {'on' if symmetry else 'off'}"]
     position = 0
     for section, states in (("prefix", lasso.prefix), ("cycle", lasso.cycle)):
         lines.append(f"{section}:")
         for state in states:
-            aps = lasso.ap_truth[position] if position < len(lasso.ap_truth) else ()
+            aps = lasso.ap_truth[position]
             ap_part = ", ".join(sorted(ap.render() for ap in aps)) or "-"
             lines.append(f"  {position}: {render_state(state, model)} | {ap_part}")
             position += 1
@@ -304,10 +296,11 @@ def parse_trace(text: str, model: ModelDef) -> TraceData:
                 data.params = value
             elif key == "spec":
                 data.spec = value
-            elif key == "fairness":
-                data.fairness = value == "on"
-            elif key == "symmetry":
-                data.symmetry = value == "on"
+            elif key in ("fairness", "symmetry"):
+                if value not in ("on", "off"):
+                    raise ModelError(f"trace line {line_no}: {key} must be "
+                                     f"'on' or 'off', got {value!r}")
+                setattr(data, key, value == "on")
             elif key in ("prefix", "cycle"):
                 section = key
             else:

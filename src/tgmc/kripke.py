@@ -87,26 +87,30 @@ class Instance:
 
     # -- transitions ---------------------------------------------------------
 
+    def valuation(self, entry: ProcEntry, shareds: tuple[int, ...]) -> Valuation:
+        """One process's view of a state: its entry, the shareds, the binding."""
+        status_idx, local_vals = entry
+        return Valuation(self.statuses[status_idx],
+                         tuple(zip(self._locals, local_vals)),
+                         tuple(zip(self._shareds, shareds)),
+                         self._params_pairs)
+
+    def entry(self, valuation: Valuation) -> tuple[ProcEntry, tuple[int, ...]]:
+        """Inverse of ``valuation``: (process entry, shareds)."""
+        local_map = dict(valuation.locals)
+        shared_map = dict(valuation.shareds)
+        return ((self._status_index[valuation.status],
+                 tuple(local_map[n] for n in self._locals)),
+                tuple(shared_map[n] for n in self._shareds))
+
     def _entry_successors(self, entry: ProcEntry, shareds: tuple[int, ...]):
         key = (entry, shareds)
         cached = self._step_cache.get(key)
-        if cached is not None:
-            return cached
-        status_idx, local_vals = entry
-        valuation = Valuation(self.statuses[status_idx],
-                              tuple(zip(self._locals, local_vals)),
-                              tuple(zip(self._shareds, shareds)),
-                              self._params_pairs)
-        result = []
-        for succ in step_successors(valuation, self._cfa):
-            local_map = dict(succ.locals)
-            shared_map = dict(succ.shareds)
-            result.append(((self._status_index[succ.status],
-                            tuple(local_map[n] for n in self._locals)),
-                           tuple(shared_map[n] for n in self._shareds)))
-        out = tuple(result)
-        self._step_cache[key] = out
-        return out
+        if cached is None:
+            cached = tuple(self.entry(succ) for succ in step_successors(
+                self.valuation(entry, shareds), self._cfa))
+            self._step_cache[key] = cached
+        return cached
 
     def successors(self, state: EngineState) -> list[EngineState]:
         """All MOVE/FRAME successors, deduplicated, in deterministic order.

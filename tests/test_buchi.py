@@ -31,9 +31,9 @@ def test_globally_p_accepts_exactly_p_omega():
     assert buchi_accepts_lasso(ba, [LP, LP], [LP])
     assert not buchi_accepts_lasso(ba, [], [E])
     assert not buchi_accepts_lasso(ba, [LP], [LP, E])
-    # Every state's label requires P true (index 0 in aps).
+    # Every state's label requires P true (bit 0 stands for aps[0]).
     assert ba.aps == (P,)
-    assert all(need_true == (0,) and need_false == ()
+    assert all(need_true == 0b1 and need_false == 0
                for need_true, need_false in ba.labels)
     assert ba.accepting
 

@@ -221,7 +221,8 @@ def test_replay_rejects_corrupted_lassos():
                for problem in replay_lasso(inst, lasso, wrong))
 
     # Empty cycles are malformed.
-    empty = Lasso(prefix=list(lasso.states()), cycle=[])
+    empty = Lasso(prefix=list(lasso.states()), cycle=[],
+                  ap_truth=list(lasso.ap_truth))
     assert replay_lasso(inst, empty, verdict.negated) != []
 
     # A run must start in an initial state: drop the first prefix state.
@@ -229,6 +230,41 @@ def test_replay_rejects_corrupted_lassos():
                 ap_truth=list(lasso.ap_truth[1:]))
     assert any("initial" in problem
                for problem in replay_lasso(inst, cut, verdict.negated))
+
+    # Missing proposition sets are a disagreement, not a skipped check.
+    unlabeled = Lasso(prefix=list(lasso.prefix), cycle=list(lasso.cycle),
+                      ap_truth=[])
+    assert replay_lasso(inst, unlabeled, verdict.negated) == [
+        "recorded proposition sets disagree with direct evaluation"]
+
+
+@pytest.mark.parametrize("poison", ["successors", "step_cache"])
+def test_replay_checks_edges_against_the_reference_step_relation(poison):
+    model = load_builtin("clean")
+    env = {"n": 3, "t": 3}
+    lasso = check_spec(model, env, "unforg").counterexample
+    states = lasso.states()
+    at = len(states) // 2
+    procs, shareds = before = states[at - 1]
+    # A state no process move reaches: the shared counters jump by 7.
+    foreign = (procs, tuple(v + 7 for v in shareds))
+    walk = states[:at] + [foreign] + states[at + 1:]
+    split = len(lasso.prefix)
+    bad = Lasso(walk[:split], walk[split:], list(lasso.ap_truth))
+    inst = Instance(model, env)
+    if poison == "successors":
+        # The fast path claims the edge into the foreign state.
+        real = inst.successors
+        inst.successors = lambda state: (
+            real(state) + [foreign] if state == before else real(state))
+        assert foreign in inst.successors(before)
+    else:
+        # The step cache claims that the first process can make the jump.
+        entry = procs[0]
+        inst._step_cache[(entry, shareds)] = ((entry, foreign[1]),)
+        assert foreign in inst.successors(before)
+    problems = replay_lasso(inst, bad, negate_to_nnf(model.spec("unforg").formula))
+    assert f"position {at - 1}: recorded transition is not a successor" in problems
 
 
 def test_verdict_fields_document_the_run():

@@ -113,6 +113,15 @@ def test_check_usage_errors(capsys, tmp_path):
     assert code == 2
     assert "error:" in err
 
+    # A state cap below 1 is rejected before any check runs.
+    for bad in ("0", "-1", "many"):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(capsys, "check", "--model", "builtin:byz",
+                    "--params", "n=7,t=2,f=2", "--spec", "relay",
+                    "--max-states", bad)
+        assert exit_info.value.code == 2
+        assert "--max-states" in capsys.readouterr().err
+
 
 def test_check_resource_cap_exit_code(capsys):
     code, out, _ = run_cli(capsys, "check", "--model", "builtin:byz",
@@ -168,6 +177,16 @@ def test_bench_bad_manifest(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert "error:" in err
     assert out == ""
+    assert runs == []
+
+    # So do --jobs and --max-states below 1.
+    for option in ("--jobs", "--max-states"):
+        for bad in ("0", "-1"):
+            with pytest.raises(SystemExit) as exit_info:
+                run_cli(capsys, "bench", "--manifest", str(manifest),
+                        option, bad)
+            assert exit_info.value.code == 2
+            assert option in capsys.readouterr().err
     assert runs == []
 
 

@@ -4,9 +4,10 @@ import io
 
 import pytest
 
+from tgmc.cli import exit_code_for
 from tgmc.core import ModelError
 from tgmc.dsl import format_model
-from tgmc.harness import (BUILTIN_NAMES, CaseSpec, RunRecord, exit_code_for,
+from tgmc.harness import (BUILTIN_NAMES, CaseSpec, RunRecord,
                           load_builtin, parse_trace, read_manifest,
                           render_state, render_trace, resolve_model, run_case,
                           run_manifest, summarize, verify_trace,
@@ -142,6 +143,37 @@ def test_run_manifest_parallel_preserves_order(tmp_path):
     assert strip(serial) == strip(parallel)
 
 
+def test_run_manifest_starts_no_more_workers_than_cases(tmp_path, monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    class NoProcessContext:
+        Pool = SerialPool
+
+    monkeypatch.setattr("tgmc.harness.multiprocessing.get_context",
+                        lambda *method: NoProcessContext)
+    rows = [("clean", f"n={n},t=1", "unforg", "holds", "required")
+            for n in (2, 3, 4)]
+    path = manifest_file(tmp_path, rows)
+    assert [r.match for r in run_manifest(path, jobs=8)] == [True] * 3
+    assert [r.match for r in run_manifest(path, jobs=2)] == [True] * 3
+    assert started == [3, 2]
+    run_manifest(manifest_file(tmp_path, rows[:1]), jobs=8)
+    assert started == [3, 2]          # one case runs in this process
+
+
 def test_exit_codes_and_summary_lines():
     ok = RunRecord(GOOD_CASE, "holds", True)
     mismatch = RunRecord(BAD_EXPECTATION, "holds", False)
@@ -193,6 +225,15 @@ def test_trace_round_trip_and_verification():
     # A trace for one model cannot be verified against another.
     problems = verify_trace(text, load_builtin("byz"))
     assert problems != []
+
+    # Switches are 'on' or 'off'; any other value names its line.
+    for header, bad in (("fairness: off", "fairness: yes"),
+                        ("symmetry: on", "symmetry: 1")):
+        assert header in lines
+        line_no = lines.index(header) + 1
+        problems = verify_trace(text.replace(header, bad), model)
+        assert len(problems) == 1
+        assert problems[0].startswith(f"trace line {line_no}: ")
 
 
 def test_trace_verification_catches_broken_cycle():

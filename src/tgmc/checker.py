@@ -6,9 +6,10 @@ iteratively (explicit stacks) so deep state spaces cannot overflow Python's
 recursion limit.  Every reported lasso is replay-validated before the verdict
 is returned: each transition is re-checked against the reference step
 relation (``cfa.step_successors``, one process at a time) and the negated
-formula is re-evaluated on the lasso's word by the direct fixpoint evaluator.  A verdict is therefore never justified by the
-search alone.  The same search decides whether an automaton accepts one
-lasso word (buchi_accepts_lasso).
+formula is re-evaluated on the lasso's word by the direct fixpoint
+evaluator.  A verdict is therefore never justified by the search alone.  The
+same search decides whether an automaton accepts one lasso word
+(buchi_accepts_lasso).
 """
 
 from __future__ import annotations
@@ -28,15 +29,11 @@ DEFAULT_MAX_PRODUCT_STATES = 50_000_000
 
 
 class ResourceCapExceeded(Exception):
-    """The search stored more product states than the configured cap.
-
-    ``stats`` holds the counts reached when the search stopped; raised from
-    product_nested_dfs, it has the same keys as that function's stats.
-    """
+    """nested_dfs would store more nodes than its cap; ``stored`` is how many
+    it had stored when it stopped."""
 
     def __init__(self, stored: int):
         self.stored = stored
-        self.stats = {"product_states": stored}
         super().__init__(f"stored {stored} product states, exceeding the cap")
 
 
@@ -58,10 +55,12 @@ class Lasso:
 
 @dataclass
 class Verdict:
-    """Outcome of one check.  The counts are those of the search, also when
-    it stopped at the state cap: ``product_states`` distinct product nodes
-    stored, ``kripke_states`` distinct system states this search reached
-    (also those an earlier check of the same instance built), and
+    """Outcome of one check_spec: ``holds`` (the search found no accepting
+    lasso), ``violated`` (it found one, and replay confirmed it) or
+    ``inconclusive`` (it stopped at the state cap).  The counts are read
+    once the search ends, whichever way: ``product_states`` distinct product
+    nodes stored, ``kripke_states`` distinct system states this search
+    reached (also those an earlier check of the same instance built), and
     ``transitions`` product edges generated over all expansions, the red
     search's re-expansions of already stored nodes included (so an edge can
     be counted more than once)."""
@@ -74,14 +73,6 @@ class Verdict:
     kripke_states: int
     transitions: int
     elapsed_ms: int
-
-    @property
-    def holds(self) -> bool | None:
-        if self.status == "holds":
-            return True
-        if self.status == "violated":
-            return False
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +212,15 @@ class Product:
     def kripke_state_count(self) -> int:
         return len(self._gmask)
 
-    def project(self, nodes: list[int]) -> list[EngineState]:
-        return [self.inst.states[node // self.nq] for node in nodes]
+    def lasso(self, prefix_nodes: list[int], cycle_nodes: list[int]) -> Lasso:
+        """The run of a lasso nested_dfs found, with the propositions of each
+        state read from the labels the search computed."""
+        gids = [node // self.nq for node in prefix_nodes + cycle_nodes]
+        states = [self.inst.states[gid] for gid in gids]
+        truth = [frozenset(ap for bit, ap in enumerate(self.ba.aps)
+                           if self._mask(gid) >> bit & 1) for gid in gids]
+        split = len(prefix_nodes)
+        return Lasso(states[:split], states[split:], truth)
 
 
 def buchi_accepts_lasso(ba: BuchiAutomaton, prefix_letters, cycle_letters) -> bool:
@@ -254,40 +252,6 @@ def buchi_accepts_lasso(ba: BuchiAutomaton, prefix_letters, cycle_letters) -> bo
     result, _ = nested_dfs(entered(0, ba.initial), successors,
                            lambda node: node % nq in ba.accepting)
     return result is not None
-
-
-def product_nested_dfs(inst: Instance, ba: BuchiAutomaton,
-                       max_states: int | None = None):
-    """Search the lazy product for an accepting lasso.
-
-    Returns (lasso, stats) where lasso is None iff the product accepts nothing
-    (the checked property holds), and stats is a dict with keys
-    product_states, kripke_states, transitions.  The lasso's ap_truth comes
-    from the labels the search computed.  Raises
-    ResourceCapExceeded if the cap is hit, with the stats reached so far.
-    """
-    product = Product(inst, ba)
-
-    def stats_at(stored: int) -> dict[str, int]:
-        return {"product_states": stored,
-                "kripke_states": product.kripke_state_count(),
-                "transitions": product.transitions}
-
-    try:
-        result, stored = nested_dfs(product.initial_nodes(), product.successors,
-                                    product.is_accepting, max_stored=max_states)
-    except ResourceCapExceeded as cap:
-        cap.stats = stats_at(cap.stored)
-        raise
-    stats = stats_at(stored)
-    if result is None:
-        return None, stats
-    prefix_nodes, cycle_nodes = result
-    truth = [frozenset(ap for bit, ap in enumerate(ba.aps)
-                       if product._mask(node // product.nq) >> bit & 1)
-             for node in prefix_nodes + cycle_nodes]
-    return Lasso(product.project(prefix_nodes), product.project(cycle_nodes),
-                 truth), stats
 
 
 # ---------------------------------------------------------------------------
@@ -376,26 +340,31 @@ def check_spec(model: ModelDef, env: ParamEnv, spec_name: str,
     """Decide whether every run of Instance(model, env) satisfies the spec
     (with its unfairness escape clause, unless fairness is disabled).
     Consecutive checks of one instance share its state graph and step
-    cache, which stay referenced until a check of another instance starts."""
+    cache, which stay referenced until a check of another instance starts,
+    or until a check ends on the state cap."""
     started = time.monotonic()
     target = combined_formula(model, spec_name, fairness)
     negated = negate_to_nnf(target)
     ba = build_buchi(negated)
     inst = _instance(model, tuple(sorted(env.items())), symmetry)
-
-    def elapsed() -> int:
-        return int((time.monotonic() - started) * 1000)
-
+    product = Product(inst, ba)
+    lasso = None
     try:
-        lasso, stats = product_nested_dfs(inst, ba, max_states=max_states)
-        status = "holds" if lasso is None else "violated"
+        result, stored = nested_dfs(product.initial_nodes(), product.successors,
+                                    product.is_accepting, max_stored=max_states)
     except ResourceCapExceeded as cap:
-        lasso, stats, status = None, cap.stats, "inconclusive"
-
-    if lasso is not None:
-        problems = replay_lasso(inst, lasso, negated)
-        if problems:
-            raise ModelError("internal error: counterexample failed replay: "
-                             + "; ".join(problems))
+        _instance.cache_clear()     # frees the graph the capped search built
+        status, stored = "inconclusive", cap.stored
+    else:
+        status = "holds"
+        if result is not None:
+            status, lasso = "violated", product.lasso(*result)
+            problems = replay_lasso(inst, lasso, negated)
+            if problems:
+                raise ModelError("internal error: counterexample failed replay: "
+                                 + "; ".join(problems))
     return Verdict(status=status, formula=target, negated=negated,
-                   counterexample=lasso, elapsed_ms=elapsed(), **stats)
+                   counterexample=lasso, product_states=stored,
+                   kripke_states=product.kripke_state_count(),
+                   transitions=product.transitions,
+                   elapsed_ms=int((time.monotonic() - started) * 1000))

@@ -3,7 +3,8 @@
 Subcommands: ``check`` (one model/params/spec), ``bench`` (reproduce a
 manifest of expected verdicts), ``paths`` (list a model's step paths).
 Exit codes: 0 holds / all match, 1 violated / mismatch, 2 usage, model or
-file error, 3 resource cap reached.
+file error, 3 resource cap reached.  A reader that closes stdout early (as
+``| head`` does) cuts the output short but leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from .checker import DEFAULT_MAX_PRODUCT_STATES, check_spec
@@ -22,6 +24,8 @@ from .harness import (RunRecord, render_state, render_trace, resolve_model,
 from .ltl import render_formula
 
 EXIT_OK, EXIT_VIOLATED, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
+_EXIT_FOR_STATUS = {"holds": EXIT_OK, "violated": EXIT_VIOLATED,
+                    "inconclusive": EXIT_CAP}
 
 
 def exit_code_for(records: list[RunRecord]) -> int:
@@ -31,6 +35,18 @@ def exit_code_for(records: list[RunRecord]) -> int:
     if any(r.verdict == "inconclusive" for r in records):
         return EXIT_CAP
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _stdout_may_close():
+    """Stop writing quietly if stdout's reader has gone."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout once more at exit; point it at
+        # devnull so that flush has nothing to complain about.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _at_least_one(text: str) -> int:
@@ -112,7 +128,8 @@ def _cmd_check(args) -> int:
             for problem in problems:
                 print(f"trace invalid: {problem}", file=sys.stderr)
             return EXIT_VIOLATED
-        print("trace valid: replays and witnesses the violation")
+        with _stdout_may_close():
+            print("trace valid: replays and witnesses the violation")
         return EXIT_OK
 
     if not args.params or not args.spec:
@@ -137,47 +154,44 @@ def _cmd_check(args) -> int:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(trace_text)
 
-    if args.format == "json":
-        record = {
-            "model": model.name,
-            "params": args.params,
-            "spec": args.spec,
-            "fairness": fairness,
-            "symmetry": symmetry,
-            "formula": render_formula(verdict.formula),
-            "verdict": verdict.status,
-            "states_stored": verdict.product_states,
-            "kripke_states": verdict.kripke_states,
-            "transitions": verdict.transitions,
-            "elapsed_ms": verdict.elapsed_ms,
-        }
-        if verdict.counterexample is not None:
-            lasso = verdict.counterexample
-            record["trace"] = {
-                "prefix": [render_state(s, model) for s in lasso.prefix],
-                "cycle": [render_state(s, model) for s in lasso.cycle],
+    code = _EXIT_FOR_STATUS[verdict.status]
+    with _stdout_may_close():
+        if args.format == "json":
+            record = {
+                "model": model.name,
+                "params": args.params,
+                "spec": args.spec,
+                "fairness": fairness,
+                "symmetry": symmetry,
+                "formula": render_formula(verdict.formula),
+                "verdict": verdict.status,
+                "states_stored": verdict.product_states,
+                "kripke_states": verdict.kripke_states,
+                "transitions": verdict.transitions,
+                "elapsed_ms": verdict.elapsed_ms,
             }
-        print(json.dumps(record, indent=2))
-    else:
-        print(f"model {model.name}  spec {args.spec}  params {args.params}  "
-              f"fairness {'on' if fairness else 'off'}  "
-              f"symmetry {'on' if symmetry else 'off'}")
-        print(f"checked: {render_formula(verdict.formula)}")
-        print(f"verdict: {verdict.status}")
-        print(f"stored {verdict.product_states} product states "
-              f"({verdict.kripke_states} system states), "
-              f"{verdict.transitions} transitions, {verdict.elapsed_ms} ms")
-        if trace_text is not None:
-            if args.trace:
-                print(f"counterexample written to {args.trace}")
-            print("counterexample:")
-            print(trace_text, end="")
-
-    if verdict.status == "holds":
-        return EXIT_OK
-    if verdict.status == "violated":
-        return EXIT_VIOLATED
-    return EXIT_CAP
+            if verdict.counterexample is not None:
+                lasso = verdict.counterexample
+                record["trace"] = {
+                    "prefix": [render_state(s, model) for s in lasso.prefix],
+                    "cycle": [render_state(s, model) for s in lasso.cycle],
+                }
+            print(json.dumps(record, indent=2))
+        else:
+            print(f"model {model.name}  spec {args.spec}  params {args.params}  "
+                  f"fairness {'on' if fairness else 'off'}  "
+                  f"symmetry {'on' if symmetry else 'off'}")
+            print(f"checked: {render_formula(verdict.formula)}")
+            print(f"verdict: {verdict.status}")
+            print(f"stored {verdict.product_states} product states "
+                  f"({verdict.kripke_states} system states), "
+                  f"{verdict.transitions} transitions, {verdict.elapsed_ms} ms")
+            if trace_text is not None:
+                if args.trace:
+                    print(f"counterexample written to {args.trace}")
+                print("counterexample:")
+                print(trace_text, end="")
+    return code
 
 
 def _cmd_bench(args) -> int:
@@ -187,17 +201,20 @@ def _cmd_bench(args) -> int:
         records = run_manifest(args.manifest, jobs=args.jobs,
                                max_states=args.max_states,
                                symmetry=not args.no_symmetry)
-        write_records_csv(records, out)
-    print(summarize(records), file=sys.stdout if args.out else sys.stderr)
+        with _stdout_may_close():
+            write_records_csv(records, out)
+    with _stdout_may_close():
+        print(summarize(records), file=sys.stdout if args.out else sys.stderr)
     return exit_code_for(records)
 
 
 def _cmd_paths(args) -> int:
     model = resolve_model(args.model)
     paths = enumerate_paths(model.cfa)
-    print(f"model {model.name}: {len(paths)} step paths")
-    for i, ops in enumerate(paths, start=1):
-        print(f"  {i}: " + "; ".join(op.render() for op in ops))
+    with _stdout_may_close():
+        print(f"model {model.name}: {len(paths)} step paths")
+        for i, ops in enumerate(paths, start=1):
+            print(f"  {i}: " + "; ".join(op.render() for op in ops))
     return EXIT_OK
 
 

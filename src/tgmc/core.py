@@ -42,18 +42,6 @@ class LinearForm:
     def variable(name: str, coeff: int = 1) -> "LinearForm":
         return LinearForm.of(**{name: coeff})
 
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        merged = dict(self.coeffs)
-        for name, c in other.coeffs:
-            merged[name] = merged.get(name, 0) + c
-        return LinearForm(normalize_coeffs(merged.items()), self.const + other.const)
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm(tuple((n, -c) for n, c in self.coeffs), -self.const)
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + (-other)
-
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.coeffs)
 

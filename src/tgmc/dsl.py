@@ -90,10 +90,6 @@ class ModelDef:
     unfairness: tuple[tuple[str, Formula], ...]
     specs: tuple[SpecDef, ...]
 
-    def declarations(self) -> Declarations:
-        return Declarations(self.statuses, self.initial_statuses,
-                            self.locals, self.shareds, self.params)
-
     def spec(self, name: str) -> SpecDef:
         for spec in self.specs:
             if spec.name == name:

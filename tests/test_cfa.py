@@ -102,7 +102,9 @@ def test_validate_rejects_cycles_and_dangles():
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_cfas_validate_cleanly(name):
     model = load_builtin(name)
-    assert validate_cfa(model.cfa, model.declarations()) == []
+    decls = Declarations(model.statuses, model.initial_statuses, model.locals,
+                         model.shareds, model.params)
+    assert validate_cfa(model.cfa, decls) == []
 
 
 @pytest.mark.parametrize("name,expected", [

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from oracles import random_digraph, scc_accepting_lasso_exists
+from tgmc import checker
 from tgmc.buchi import build_buchi
 from tgmc.checker import (DEFAULT_MAX_PRODUCT_STATES, Lasso, Product,
                           ResourceCapExceeded, Verdict, check_spec,
-                          combined_formula, nested_dfs, product_nested_dfs,
-                          replay_lasso)
+                          combined_formula, nested_dfs, replay_lasso)
 from tgmc.core import LinearForm, ModelError
 from tgmc.dsl import parse_model
 from tgmc.harness import load_builtin
@@ -20,6 +20,12 @@ from tgmc.ltl import (Future, Globally, LessProp, Literal, Or, StatusProp,
 
 def run_nested(n, succ, initial, accepting):
     return nested_dfs(initial, lambda v: succ[v], lambda v: v in accepting)
+
+
+def outcome(verdict):
+    """What a verdict says, without its timing."""
+    return (verdict.status, verdict.product_states, verdict.kripke_states,
+            verdict.transitions, verdict.counterexample)
 
 
 def validate_found(result, succ, initial, accepting):
@@ -82,18 +88,23 @@ def test_product_structure_single_state_instance():
     model = load_builtin("clean")
     inst = Instance(model, {"n": 1, "t": 1})
     target = Future(Literal(StatusProp("some", "AC", True)))
-    ba = build_buchi(negate_to_nnf(target))
-    lasso, stats = product_nested_dfs(inst, ba)
-    assert lasso is None
-    assert stats["kripke_states"] >= 1
-    assert stats["product_states"] >= 1
+    product = Product(inst, build_buchi(negate_to_nnf(target)))
+    result, stored = nested_dfs(product.initial_nodes(), product.successors,
+                                product.is_accepting)
+    assert result is None
+    assert product.kripke_state_count() >= 1
+    assert stored >= 1
 
     # The negated target (G !some-AC) is itself violated by a run: search for
     # it directly and replay the counterexample.
-    ba2 = build_buchi(negate_to_nnf(negate_to_nnf(target)))
-    lasso2, _ = product_nested_dfs(inst, ba2)
-    assert lasso2 is not None
-    assert replay_lasso(inst, lasso2, negate_to_nnf(negate_to_nnf(target))) == []
+    negated = negate_to_nnf(negate_to_nnf(target))
+    product = Product(inst, build_buchi(negated))
+    result, _ = nested_dfs(product.initial_nodes(), product.successors,
+                           product.is_accepting)
+    assert result is not None
+    lasso = product.lasso(*result)
+    assert len(lasso.ap_truth) == len(lasso.states())
+    assert replay_lasso(inst, lasso, negated) == []
 
 
 def test_product_counts_are_consistent():
@@ -110,42 +121,42 @@ def test_product_counts_are_consistent():
     assert product.kripke_state_count() <= stored
 
 
-def test_searches_share_the_instance_graph():
+def test_searches_share_the_instance_graph(monkeypatch):
     model = load_builtin("byz")
     env = {"n": 7, "t": 1, "f": 2}
-    automata = {spec: build_buchi(negate_to_nnf(
-                    combined_formula(model, spec, fairness=True)))
-                for spec in ("relay", "corr")}
-    runs = [("relay", None), ("corr", None), ("corr", 500), ("corr", None)]
+    runs = [("relay", DEFAULT_MAX_PRODUCT_STATES),
+            ("corr", DEFAULT_MAX_PRODUCT_STATES), ("corr", 500),
+            ("corr", DEFAULT_MAX_PRODUCT_STATES)]
+    expanded = []                   # (instance, state) per expansion
+    successors = Instance.successors
 
-    def search(inst, spec, cap):
-        try:
-            return product_nested_dfs(inst, automata[spec], max_states=cap)
-        except ResourceCapExceeded as exc:
-            return "capped", exc.stats
+    def counting_successors(inst, state):
+        expanded.append((inst, state))
+        return successors(inst, state)
 
-    shared = Instance(model, env)
-    expanded = []
-    successors = shared.successors
-
-    def counting_successors(state):
-        expanded.append(state)
-        return successors(state)
-
-    shared.successors = counting_successors
-    calls, outcomes = [], []
+    monkeypatch.setattr(Instance, "successors", counting_successors)
+    checker._instance.cache_clear()
+    shared, graphs = [], []
     for spec, cap in runs:
         before = len(expanded)
-        lasso, stats = search(shared, spec, cap)
-        calls.append(len(expanded) - before)
-        assert (lasso, stats) == search(Instance(model, env), spec, cap)
-        assert stats["kripke_states"] > 0
-        outcomes.append(lasso if lasso in (None, "capped") else "lasso")
-    assert outcomes == ["lasso", "lasso", "capped", "lasso"]
-    # Every state is expanded at most once over all four searches, and the
-    # capped and the second corr search reuse what the first two built.
+        shared.append(outcome(check_spec(model, env, spec, max_states=cap)))
+        graphs.append({inst for inst, _ in expanded[before:]})
+    # Every state is expanded at most once per instance graph.
     assert len(set(expanded)) == len(expanded)
-    assert calls[0] > 0 and calls[1] > 0 and calls[2] == 0 and calls[3] == 0
+    assert [status for status, *_ in shared] == [
+        "violated", "violated", "inconclusive", "violated"]
+    assert all(kripke_states > 0 for _, _, kripke_states, _, _ in shared)
+    # The second corr check and the capped one reuse what the first two
+    # built; the capped check frees the graph, so the next one rebuilds it.
+    first = graphs[0]
+    assert len(first) == 1 and graphs[1] == first
+    assert graphs[2] == set()
+    assert graphs[3] and not graphs[3] & first
+
+    # Each check gives what it gives on a fresh instance.
+    for (spec, cap), want in zip(runs, shared):
+        checker._instance.cache_clear()
+        assert outcome(check_spec(model, env, spec, max_states=cap)) == want
 
 
 def test_combined_formula_shapes():
@@ -170,7 +181,6 @@ def test_check_spec_verdicts_and_replay():
     model = load_builtin("clean")
     verdict = check_spec(model, {"n": 3, "t": 3}, "unforg")
     assert verdict.status == "violated"
-    assert verdict.holds is False
     lasso = verdict.counterexample
     assert lasso is not None
     inst = Instance(model, {"n": 3, "t": 3})
@@ -178,7 +188,6 @@ def test_check_spec_verdicts_and_replay():
 
     verdict = check_spec(model, {"n": 3, "t": 2}, "unforg")
     assert verdict.status == "holds"
-    assert verdict.holds is True
     assert verdict.counterexample is None
     assert verdict.product_states > 0
     assert verdict.transitions > 0
@@ -186,13 +195,18 @@ def test_check_spec_verdicts_and_replay():
 
 def test_check_spec_resource_cap():
     model = load_builtin("byz")
-    verdict = check_spec(model, {"n": 7, "t": 2, "f": 2}, "relay", max_states=50)
+    env = {"n": 7, "t": 2, "f": 2}
+    verdict = check_spec(model, env, "relay", max_states=50)
     assert verdict.status == "inconclusive"
-    assert verdict.holds is None
     assert verdict.product_states > 50
     # The inconclusive verdict keeps what the search had built.
     assert 0 < verdict.kripke_states <= verdict.product_states
     assert verdict.transitions > 0
+    # ... and frees the graph it built.
+    assert checker._instance.cache_info().currsize == 0
+    after = outcome(check_spec(model, env, "corr"))
+    checker._instance.cache_clear()
+    assert after == outcome(check_spec(model, env, "corr"))
 
 
 def test_replay_rejects_corrupted_lassos():

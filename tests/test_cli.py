@@ -1,9 +1,15 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import tgmc
 from tgmc.cli import main
 from tgmc.harness import TRACE_MAGIC
 
@@ -199,3 +205,27 @@ def test_paths_command(capsys):
     code, out, _ = run_cli(capsys, "paths", "--model", "builtin:clean")
     assert code == 0
     assert "4 step paths" in out
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["check", "--model", "builtin:byz", "--params", "n=7,t=1,f=2",
+      "--spec", "relay", "--format", "json"], 1),
+    (["bench", "--manifest",
+      str(resources.files("tgmc") / "tables" / "table1.csv")], 0),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, expected):
+    source_root = str(Path(tgmc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source_root, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)              # the reader is gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tgmc.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, check=False)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == expected, proc.stderr
+    assert "Broken pipe" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

@@ -38,14 +38,6 @@ def test_render_examples():
     assert LinearForm.of(f=1, t=1).render() == "f + t"
 
 
-@settings(max_examples=60, deadline=None)
-@given(forms, forms, envs)
-def test_linear_algebra_matches_integer_arithmetic(a, b, env):
-    assert eval_linear_form(a + b, env) == eval_linear_form(a, env) + eval_linear_form(b, env)
-    assert eval_linear_form(-a, env) == -eval_linear_form(a, env)
-    assert eval_linear_form(a - b, env) == eval_linear_form(a, env) - eval_linear_form(b, env)
-
-
 @settings(max_examples=40, deadline=None)
 @given(forms, envs)
 def test_render_parses_stable_structure(form, env):

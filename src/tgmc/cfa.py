@@ -5,20 +5,21 @@ An edge carries exactly one operation: a guard, a status assignment, an
 increment, or a nondeterministic bounded pick.  The step relation of a process
 is the union, over all initial→final paths, of the sequential composition of
 the edge operations; effects are visible to later operations on the same path.
+
+``build_cfa`` is the one place an automaton is made: it checks the graph's
+shape and names, and orders its locations once.  ``step_successors`` and
+``enumerate_paths`` read that order (``Cfa.layers``) on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 from .core import LinearForm, ModelError, Valuation, eval_linear_form
 
 # Placeholder name for the value chosen by a pick operation.
 EPS = "eps"
-
-# Status values are symbolic names drawn from a model's declared finite set
-# (with a designated subset of initial statuses; see Declarations).
-StatusValue = str
 
 
 # ---------------------------------------------------------------------------
@@ -185,60 +186,16 @@ class Edge:
 
 @dataclass(frozen=True)
 class Cfa:
-    """Acyclic edge-labeled graph with a unique entry and exit location."""
+    """Acyclic edge-labeled graph with a unique entry and exit location, as
+    ``build_cfa`` makes it.  ``layers`` lists every location in topological
+    order (entry first, exit last) with its out-edges in declaration order;
+    it is derived from ``edges``, so equality and hashing ignore it."""
 
     initial: str
     final: str
     edges: tuple[Edge, ...]
-
-    def locations(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {self.initial: None}
-        for e in self.edges:
-            seen.setdefault(e.src, None)
-            seen.setdefault(e.dst, None)
-        seen.setdefault(self.final, None)
-        return tuple(seen)
-
-    def out_edges(self) -> dict[str, list[Edge]]:
-        table: dict[str, list[Edge]] = {loc: [] for loc in self.locations()}
-        for e in self.edges:
-            table[e.src].append(e)
-        return table
-
-
-@dataclass(frozen=True)
-class Declarations:
-    """Name context a CFA is validated against."""
-
-    statuses: tuple[str, ...]
-    initial_statuses: tuple[str, ...]
-    locals: tuple[str, ...]
-    shareds: tuple[str, ...]
-    params: tuple[str, ...]
-
-    def variables(self) -> tuple[str, ...]:
-        return self.locals + self.shareds
-
-
-def topological_order(cfa: Cfa) -> list[str] | None:
-    """Locations in topological order, or None if the graph has a cycle."""
-    locs = cfa.locations()
-    indegree = {loc: 0 for loc in locs}
-    for e in cfa.edges:
-        indegree[e.dst] += 1
-    out = cfa.out_edges()
-    ready = [loc for loc in locs if indegree[loc] == 0]
-    order: list[str] = []
-    while ready:
-        loc = ready.pop(0)
-        order.append(loc)
-        for e in out[loc]:
-            indegree[e.dst] -= 1
-            if indegree[e.dst] == 0:
-                ready.append(e.dst)
-    if len(order) != len(locs):
-        return None
-    return order
+    layers: tuple[tuple[str, tuple[Edge, ...]], ...] = field(compare=False,
+                                                             repr=False)
 
 
 def _guard_names(expr: GuardExpr, statuses: list[str], variables: list[str],
@@ -255,58 +212,64 @@ def _guard_names(expr: GuardExpr, statuses: list[str], variables: list[str],
             _guard_names(item, statuses, variables, params)
 
 
-def validate_cfa(cfa: Cfa, decls: Declarations) -> list[str]:
-    """All structural problems with the automaton, as human-readable messages.
+def build_cfa(edges: Sequence[Edge], statuses: Sequence[str],
+              variables: Sequence[str],
+              params: Sequence[str]) -> tuple[Cfa | None, list[str]]:
+    """The automaton of ``edges``, or None with every problem found, as
+    human-readable messages.
 
-    Checks acyclicity, entry/exit shape, reachability and co-reachability of
-    every location, name resolution, and static boundedness of every pick.
+    The entry is the one location without an incoming edge and the exit the
+    one without an outgoing edge.  A single Kahn pass from the entry orders
+    the locations; a location it cannot place lies on or after a cycle.  In
+    an acyclic graph with one entry and one exit, every location is on an
+    entry-to-exit path, so no reachability check is needed.  Each edge must
+    be declared once, name only declared statuses, variables and parameters,
+    and bound every pick from above.
     """
+    out: dict[str, list[Edge]] = {}
+    indegree: dict[str, int] = {}
+    for e in edges:
+        out.setdefault(e.src, []).append(e)
+        out.setdefault(e.dst, [])
+        indegree.setdefault(e.src, 0)
+        indegree[e.dst] = indegree.get(e.dst, 0) + 1
+    entries = [loc for loc, n in indegree.items() if n == 0]
+    exits = [loc for loc, succ in out.items() if not succ]
     problems: list[str] = []
-    order = topological_order(cfa)
-    if order is None:
-        problems.append("automaton has a cycle")
-    if any(e.dst == cfa.initial for e in cfa.edges):
-        problems.append(f"initial location {cfa.initial!r} has an incoming edge")
-    if any(e.src == cfa.final for e in cfa.edges):
-        problems.append(f"final location {cfa.final!r} has an outgoing edge")
+    for role, found in (("entry", entries), ("exit", exits)):
+        if len(found) != 1:
+            problems.append(f"step block must have exactly one {role} location "
+                            f"(found {found or 'none'})")
+    seen: set[Edge] = set()
+    for e in edges:
+        if e in seen:
+            problems.append(f"duplicate edge {e.src}->{e.dst}")
+        seen.add(e)
 
-    # Reachability from the entry and co-reachability of the exit.
-    forward = {cfa.initial}
-    changed = True
-    while changed:
-        changed = False
-        for e in cfa.edges:
-            if e.src in forward and e.dst not in forward:
-                forward.add(e.dst)
-                changed = True
-    backward = {cfa.final}
-    changed = True
-    while changed:
-        changed = False
-        for e in cfa.edges:
-            if e.dst in backward and e.src not in backward:
-                backward.add(e.src)
-                changed = True
-    for loc in cfa.locations():
-        if loc not in forward or loc not in backward:
-            problems.append(f"location {loc!r} is not on any initial-to-final path")
+    order = list(entries)
+    for loc in order:               # Kahn's sort; the list grows as it goes
+        for e in out[loc]:
+            indegree[e.dst] -= 1
+            if indegree[e.dst] == 0:
+                order.append(e.dst)
+    if len(entries) == len(exits) == 1 and len(order) < len(out):
+        unplaced = ", ".join(repr(loc) for loc, n in indegree.items() if n)
+        problems.append(f"automaton has a cycle: locations {unplaced} "
+                        "cannot be ordered")
 
-    known_vars = set(decls.variables())
-    known_params = set(decls.params)
-    known_statuses = set(decls.statuses)
-    for e in cfa.edges:
+    for e in edges:
         op = e.op
-        statuses: list[str] = []
-        variables: list[str] = []
-        params: list[str] = []
+        used_statuses: list[str] = []
+        used_vars: list[str] = []
+        used_params: list[str] = []
         if isinstance(op, Guard):
-            _guard_names(op.expr, statuses, variables, params)
+            _guard_names(op.expr, used_statuses, used_vars, used_params)
         elif isinstance(op, SetStatus):
-            statuses.append(op.status)
+            used_statuses.append(op.status)
         elif isinstance(op, Inc):
-            variables.append(op.var)
+            used_vars.append(op.var)
         elif isinstance(op, Pick):
-            variables.append(op.var)
+            used_vars.append(op.var)
             if not op.cond.has_upper_bound():
                 problems.append(
                     f"edge {e.src}->{e.dst}: unbounded nondeterministic choice"
@@ -314,38 +277,28 @@ def validate_cfa(cfa: Cfa, decls: Declarations) -> list[str]:
             for atom in op.cond.atoms:
                 for side in (atom.lhs, atom.rhs):
                     if side != EPS:
-                        variables.append(side)
-                params.extend(atom.offset.names())
-        for name in statuses:
-            if name not in known_statuses:
-                problems.append(f"edge {e.src}->{e.dst}: unknown status {name!r}")
-        for name in variables:
-            if name not in known_vars:
-                problems.append(f"edge {e.src}->{e.dst}: unknown variable {name!r}")
-        for name in params:
-            if name not in known_params:
-                problems.append(f"edge {e.src}->{e.dst}: unknown parameter {name!r}")
-    return problems
+                        used_vars.append(side)
+                used_params.extend(atom.offset.names())
+        for role, used, known in (("status", used_statuses, statuses),
+                                  ("variable", used_vars, variables),
+                                  ("parameter", used_params, params)):
+            for name in used:
+                if name not in known:
+                    problems.append(f"edge {e.src}->{e.dst}: unknown {role} {name!r}")
+    if problems:
+        return None, problems
+    layers = tuple((loc, tuple(out[loc])) for loc in order)
+    return Cfa(entries[0], exits[0], tuple(edges), layers), []
 
 
 def enumerate_paths(cfa: Cfa) -> list[tuple[Op, ...]]:
     """All initial→final paths as operation sequences, in a deterministic
     order (depth-first by edge declaration order)."""
-    out = cfa.out_edges()
-    paths: list[tuple[Op, ...]] = []
-    stack: list[Op] = []
-
-    def walk(loc: str) -> None:
-        if loc == cfa.final:
-            paths.append(tuple(stack))
-            return
-        for e in out[loc]:
-            stack.append(e.op)
-            walk(e.dst)
-            stack.pop()
-
-    walk(cfa.initial)
-    return paths
+    paths: dict[str, list[tuple[Op, ...]]] = {}
+    for loc, out in reversed(cfa.layers):       # the exit comes first
+        paths[loc] = ([(e.op,) + rest for e in out for rest in paths[e.dst]]
+                      if out else [()])
+    return paths[cfa.initial]
 
 
 def apply_op(v: Valuation, op: Op) -> list[Valuation]:
@@ -375,20 +328,15 @@ def step_successors(v: Valuation, cfa: Cfa) -> list[Valuation]:
     composition because composition distributes over the union at every merge
     location.  Result is deduplicated and sorted for reproducibility.
     """
-    order = topological_order(cfa)
-    if order is None:
-        raise ModelError("cannot step through a cyclic automaton")
-    at: dict[str, dict[Valuation, None]] = {loc: {} for loc in order}
-    at[cfa.initial][v] = None
-    out = cfa.out_edges()
-    for loc in order:
-        vals = at[loc]
+    at: dict[str, dict[Valuation, None]] = {cfa.initial: {v: None}}
+    for loc, out in cfa.layers:
+        vals = at.get(loc)
         if not vals:
             continue
-        for e in out[loc]:
-            dst = at[e.dst]
+        for e in out:
+            dst = at.setdefault(e.dst, {})
             for val in vals:
                 for nxt in apply_op(val, e.op):
                     dst[nxt] = None
-    final = at[cfa.final]
+    final = at.get(cfa.final, {})
     return sorted(final, key=lambda w: (w.status, w.locals, w.shareds))

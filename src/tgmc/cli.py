@@ -19,8 +19,9 @@ from .checker import DEFAULT_MAX_PRODUCT_STATES, check_spec
 from .cfa import enumerate_paths
 from .core import ModelError, check_resilience
 from .dsl import parse_params_binding
-from .harness import (RunRecord, render_state, render_trace, resolve_model,
-                      run_manifest, summarize, verify_trace, write_records_csv)
+from .harness import (BUILTIN_NAMES, RunRecord, render_state, render_trace,
+                      resolve_model, run_manifest, summarize, verify_trace,
+                      write_records_csv)
 from .ltl import render_formula
 
 EXIT_OK, EXIT_VIOLATED, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="check one spec of one model instance")
     check.add_argument("--model", required=True,
                        help="model file path or builtin:NAME "
-                            f"(builtins: byz, omit, symm, clean)")
+                            f"(builtins: {', '.join(BUILTIN_NAMES)})")
     check.add_argument("--params", help='parameter binding, e.g. "n=7,t=2,f=2"')
     check.add_argument("--spec", help="spec name declared in the model")
     check.add_argument("--no-fairness", action="store_true",

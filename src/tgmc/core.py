@@ -19,6 +19,15 @@ class ModelError(Exception):
     """A model, parameter binding, or formula is malformed or inconsistent."""
 
 
+def parse_int(text: str, error: str) -> int:
+    """The integer ``text`` spells in ASCII digits after at most one leading
+    ``-``; anything else (``--5``, ``+5``, ``²``) raises ModelError(error)."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ModelError(error)
+    return int(text)
+
+
 @dataclass(frozen=True)
 class LinearForm:
     """Integer-coefficient linear expression over parameter names plus a constant.

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfa import (EPS, Cfa, Declarations, Edge, Guard, GuardAnd, GuardExpr,
-                  GuardNot, Inc, Op, Pick, PickAtom, PickCond, SetStatus, SvEq,
-                  ThresholdLe, validate_cfa)
+from .cfa import (EPS, Cfa, Edge, Guard, GuardAnd, GuardExpr, GuardNot, Inc, Op,
+                  Pick, PickAtom, PickCond, SetStatus, SvEq, ThresholdLe,
+                  build_cfa)
 from .core import (Comparison, LinearForm, ModelError, ParamEnv,
-                   ResilienceCondition, normalize_coeffs)
+                   ResilienceCondition, normalize_coeffs, parse_int)
 from .ltl import (And, Formula, Future, Globally, LessProp, Literal, Or,
                   StatusProp, Until, formula_aps, render_formula)
 
@@ -141,9 +141,9 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(Token("int", text[start:i], line, col))
             col += i - start
@@ -588,35 +588,11 @@ def parse_model(text: str) -> ModelDef:
                 diagnostics.append(Diagnostic(top.line, top.col,
                                               f"unknown parameter {pname!r}"))
 
-    cfa = Cfa("qI", "qF", tuple(edges))
+    cfa: Cfa | None = None
     if edges:
-        # Entry/exit locations are detected (no incoming / no outgoing edge)
-        # rather than hard-coded by name.
-        srcs = {e.src for e in edges}
-        dsts = {e.dst for e in edges}
-        entries = [loc for loc in dict.fromkeys(e.src for e in edges) if loc not in dsts]
-        exits = [loc for loc in dict.fromkeys(e.dst for e in edges) if loc not in srcs]
+        cfa, problems = build_cfa(edges, statuses, locals_ + shareds, params)
         where = step_tok or top
-        if len(entries) != 1:
-            diagnostics.append(Diagnostic(where.line, where.col,
-                                          f"step block must have exactly one entry location "
-                                          f"(found {entries or 'none'})"))
-        if len(exits) != 1:
-            diagnostics.append(Diagnostic(where.line, where.col,
-                                          f"step block must have exactly one exit location "
-                                          f"(found {exits or 'none'})"))
-        if len(entries) == 1 and len(exits) == 1:
-            cfa = Cfa(entries[0], exits[0], tuple(edges))
-            seen_edges: set[Edge] = set()
-            for e in edges:
-                if e in seen_edges:
-                    diagnostics.append(Diagnostic(where.line, where.col,
-                                                  f"duplicate edge {e.src}->{e.dst}"))
-                seen_edges.add(e)
-            decls = Declarations(tuple(statuses), tuple(initial_statuses),
-                                 tuple(locals_), tuple(shareds), tuple(params))
-            for problem in validate_cfa(cfa, decls):
-                diagnostics.append(Diagnostic(where.line, where.col, problem))
+        diagnostics.extend(Diagnostic(where.line, where.col, p) for p in problems)
 
     def check_formula(formula: Formula, tok: Token) -> None:
         for ap in formula_aps(formula):
@@ -672,9 +648,8 @@ def parse_params_binding(text: str, model: ModelDef) -> ParamEnv:
             if key not in model.params:
                 raise ModelError(f"unknown parameter {key!r} "
                                  f"(model has: {', '.join(model.params)})")
-            if not value.lstrip("-").isdigit():
-                raise ModelError(f"non-numeric value {value!r} for parameter {key!r}")
-            number = int(value)
+            number = parse_int(value, f"non-numeric value {value!r} "
+                                      f"for parameter {key!r}")
             if number < 0:
                 raise ModelError(f"parameter {key!r} must be a natural, got {number}")
             env[key] = number

@@ -18,7 +18,7 @@ from importlib import resources
 
 from .checker import (DEFAULT_MAX_PRODUCT_STATES, Lasso, check_spec,
                       combined_formula, replay_lasso)
-from .core import ModelError, ParamEnv
+from .core import ModelError, ParamEnv, parse_int
 from .dsl import ModelDef, parse_model, parse_params_binding
 from .kripke import EngineState, Instance
 from .ltl import formula_aps, negate_to_nnf
@@ -351,11 +351,9 @@ def _parse_assignments(text: str, names: tuple[str, ...], line_no: int,
     pairs = []
     if text and text != "-":
         for chunk in text.split():
-            name, sep, value = chunk.partition("=")
-            if not sep or not value.lstrip("-").isdigit():
-                raise ModelError(f"trace line {line_no}: malformed {kind} "
-                                 f"assignment {chunk!r}")
-            pairs.append((name, int(value)))
+            name, _, value = chunk.partition("=")
+            error = f"trace line {line_no}: malformed {kind} assignment {chunk!r}"
+            pairs.append((name, parse_int(value, error)))
     if tuple(name for name, _ in pairs) != names:
         raise ModelError(f"trace line {line_no}: {kind} variables must be "
                          f"exactly {', '.join(names) or '(none)'} in order")

@@ -133,18 +133,25 @@ def test_symmetry_reduction_preserves_verdicts():
              if _param(case.params, "n") <= 5
              or (case.model, case.params, case.spec) in highlighted]
     assert len(cases) == 120
+    # All specs of one instance run back to back per symmetry setting, so
+    # check_spec's instance cache builds each graph once per setting.
+    by_instance = {}
     for case in cases:
-        model = load_builtin(case.model)
-        env = parse_params_binding(case.params, model)
-        fairness = model.spec(case.spec).unless is not None
-        reduced = check_spec(model, env, case.spec, fairness=fairness,
-                             symmetry=True)
-        full = check_spec(model, env, case.spec, fairness=fairness,
-                          symmetry=False)
-        assert reduced.status == full.status == case.expected, \
-            (case, reduced.status, full.status)
-        if case.expected == "holds":    # full exploration: counts comparable
-            assert reduced.product_states <= full.product_states
+        by_instance.setdefault((case.model, case.params), []).append(case)
+    assert len(by_instance) == 40
+    for group in by_instance.values():
+        model = load_builtin(group[0].model)
+        env = parse_params_binding(group[0].params, model)
+        verdicts = {symmetry: [check_spec(model, env, case.spec,
+                                          fairness=model.spec(case.spec).unless
+                                          is not None, symmetry=symmetry)
+                               for case in group]
+                    for symmetry in (True, False)}
+        for case, reduced, full in zip(group, verdicts[True], verdicts[False]):
+            assert reduced.status == full.status == case.expected, \
+                (case, reduced.status, full.status)
+            if case.expected == "holds":    # full exploration: counts comparable
+                assert reduced.product_states <= full.product_states
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from oracles import naive_step_successors, nx_step_paths, random_valuation
-from tgmc.cfa import (EPS, Cfa, Declarations, Edge, Guard, Inc, Pick, PickAtom,
-                      PickCond, SetStatus, SvEq, ThresholdLe, GuardAnd, GuardNot,
-                      apply_op, enumerate_paths, eval_guard, pick_range,
-                      step_successors, topological_order, validate_cfa)
+from tgmc.cfa import (EPS, Edge, Guard, Inc, Pick, PickAtom, PickCond,
+                      SetStatus, SvEq, ThresholdLe, GuardAnd, GuardNot,
+                      apply_op, build_cfa, enumerate_paths, eval_guard,
+                      pick_range, step_successors)
 from tgmc.core import LinearForm, ModelError, make_valuation
 from tgmc.harness import BUILTIN_NAMES, load_builtin
 
@@ -84,27 +84,29 @@ def test_apply_op_semantics():
 # -- structure -----------------------------------------------------------------
 
 def test_validate_rejects_cycles_and_dangles():
-    decls = Declarations(("V0",), ("V0",), ("rcvd",), ("nsnt",), ("n",))
-    loop = Cfa("qI", "qF", (Edge("qI", Guard(SvEq("V0")), "q1"),
-                            Edge("q1", Guard(SvEq("V0")), "q1"),
-                            Edge("q1", Guard(SvEq("V0")), "qF")))
-    assert any("cycle" in p for p in validate_cfa(loop, decls))
-    assert topological_order(loop) is None
-    dangling = Cfa("qI", "qF", (Edge("qI", Guard(SvEq("V0")), "qF"),
-                                Edge("qI", Guard(SvEq("V0")), "q9")))
-    assert any("q9" in p for p in validate_cfa(dangling, decls))
-    bad_names = Cfa("qI", "qF", (Edge("qI", Guard(SvEq("ZZ")), "qF"),))
-    assert any("ZZ" in p for p in validate_cfa(bad_names, decls))
-    with pytest.raises(ModelError):
-        step_successors(byz_valuation("V0", 0, 0), loop)
+    names = (("V0",), ("rcvd", "nsnt"), ("n",))
+    loop = (Edge("qI", Guard(SvEq("V0")), "q1"),
+            Edge("q1", Guard(SvEq("V0")), "q1"),
+            Edge("q1", Guard(SvEq("V0")), "qF"))
+    cfa, problems = build_cfa(loop, *names)
+    assert cfa is None
+    assert any("cycle" in p for p in problems)
+    dangling = (Edge("qI", Guard(SvEq("V0")), "qF"),
+                Edge("qI", Guard(SvEq("V0")), "q9"))
+    cfa, problems = build_cfa(dangling, *names)
+    assert cfa is None
+    assert any("q9" in p for p in problems)
+    bad_names = (Edge("qI", Guard(SvEq("ZZ")), "qF"),)
+    cfa, problems = build_cfa(bad_names, *names)
+    assert cfa is None
+    assert any("ZZ" in p for p in problems)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_cfas_validate_cleanly(name):
     model = load_builtin(name)
-    decls = Declarations(model.statuses, model.initial_statuses, model.locals,
-                         model.shareds, model.params)
-    assert validate_cfa(model.cfa, decls) == []
+    assert build_cfa(model.cfa.edges, model.statuses,
+                     model.locals + model.shareds, model.params) == (model.cfa, [])
 
 
 @pytest.mark.parametrize("name,expected", [

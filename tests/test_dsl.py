@@ -40,9 +40,10 @@ def test_tokenize_symbols_and_comments():
 
 
 def test_tokenize_reports_bad_characters():
-    _, diagnostics = tokenize("a @ b")
-    assert len(diagnostics) == 1
-    assert "@" in diagnostics[0].message
+    for bad in ("@", "²"):                # only ASCII digits make numbers
+        _, diagnostics = tokenize(f"a {bad} b")
+        assert len(diagnostics) == 1
+        assert f"unexpected character {bad!r}" in diagnostics[0].message
 
 
 def test_parse_minimal_model():
@@ -203,9 +204,34 @@ def test_parse_params_binding():
     assert parse_params_binding(" n = 7 , t = 2 , f = 0 ", model) == \
         {"n": 7, "t": 2, "f": 0}
     for bad in ("n=7,t=2", "n=7,t=2,f=2,x=1", "n=7,t=2,f=-1", "n=7,t=2,f=two",
-                "n=7,n=7,t=2,f=2", "7", ""):
+                "n=7,n=7,t=2,f=2", "7", "", "n=--7,t=2,f=2", "n=²,t=2,f=2"):
         with pytest.raises(ModelError):
             parse_params_binding(bad, model)
+
+
+LAST_EDGE = "  from q1 to qF : when !(t + 1 <= rcvd);\n"
+
+
+@pytest.mark.parametrize("extra,expected", [
+    ("from q0 to q1 : set sv = V0;",
+     ["step block must have exactly one entry location (found ['qI', 'q0'])"]),
+    ("from q1 to q9 : set sv = V0;",
+     ["step block must have exactly one exit location (found ['qF', 'q9'])"]),
+    ("from q2 to q1 : set sv = V0;",
+     ["automaton has a cycle: locations 'q1', 'q2', 'qF' cannot be ordered"]),
+    ("from qa to qb : set sv = V0; from qb to qa : set sv = V0;",
+     ["automaton has a cycle: locations 'qa', 'qb' cannot be ordered"]),
+    ("from q2 to qF : set sv = AC;", ["duplicate edge q2->qF"]),
+    ("from q0 to q1 : set sv = NOPE;",
+     ["step block must have exactly one entry location (found ['qI', 'q0'])",
+      "edge q0->q1: unknown status 'NOPE'"]),
+])
+def test_malformed_step_blocks_rejected(extra, expected):
+    bad = MINIMAL.replace(LAST_EDGE, LAST_EDGE + extra + "\n")
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(bad)
+    assert [d.render() for d in err.value.diagnostics] == \
+        [f"10:1: {message}" for message in expected]
 
 
 def test_guard_only_over_declared_names():

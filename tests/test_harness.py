@@ -72,6 +72,12 @@ def test_run_case_outcomes():
     assert record.match is False
     assert "missing" in record.detail
 
+    record = run_case(CaseSpec("byz", "n=--4,t=1,f=1", "unforg", "holds",
+                               "required"))
+    assert record.verdict == "error"
+    assert record.match is False
+    assert "non-numeric" in record.detail
+
     record = run_case(GOOD_CASE, max_states=2)
     assert record.verdict == "inconclusive"
     assert record.match is False          # required tier tolerates no cap-outs
@@ -221,6 +227,14 @@ def test_trace_round_trip_and_verification():
                          for i, line in enumerate(lines)) + "\n"
     assert tampered != text
     assert verify_trace(tampered, model) != []
+
+    # A malformed number is a problem on its trace line, not a crash.
+    line_no = next(i for i, line in enumerate(lines, 1) if "nsnt=1" in line)
+    mangled = text.replace(lines[line_no - 1],
+                           lines[line_no - 1].replace("nsnt=1", "nsnt=--1", 1))
+    problems = verify_trace(mangled, model)
+    assert len(problems) == 1
+    assert problems[0].startswith(f"trace line {line_no}: ")
 
     # A trace for one model cannot be verified against another.
     problems = verify_trace(text, load_builtin("byz"))

@@ -5,8 +5,10 @@ A system state is the shared counters plus every process's local view.  One
 global transition lets a single process take one atomic step while the rest
 stand still.  Because correct processes run identical code and the properties
 never name an individual process, states differing only by a permutation of
-processes are interchangeable - so the engine stores one sorted representative
-per equivalence class.
+processes are interchangeable - so the engine stores one state per
+equivalence class: a count per distinct process entry, packed with the shared
+counters into one integer.  `decode` turns it back into the sorted
+representative that traces print.
 """
 
 from tgmc.dsl import parse_params_binding
@@ -34,15 +36,15 @@ inst = Instance(model, env, symmetry=True)
 print(f"byz n=7,t=2,f=2 models n-f = {inst.count} processes, "
       f"each starting V0 or V1:")
 for state in inst.initial_states():
-    print(f"  {render_state(state, model)}")
+    print(f"  {render_state(inst.decode(state), model)}")
 print("(with symmetry on, 2^5 = 32 raw combinations collapse to 6 multisets)")
 print()
 
 print("=== a few successors of one state ===")
 start = inst.initial_states()[-1]
-print(f"from  {render_state(start, model)}")
+print(f"from  {render_state(inst.decode(start), model)}")
 for nxt in inst.successors(start)[:5]:
-    print(f"  ->  {render_state(nxt, model)}")
+    print(f"  ->  {render_state(inst.decode(nxt), model)}")
 print()
 
 print("=== symmetry shrinks the reachable space, never the verdicts ===")

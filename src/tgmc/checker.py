@@ -216,7 +216,7 @@ class Product:
         """The run of a lasso nested_dfs found, with the propositions of each
         state read from the labels the search computed."""
         gids = [node // self.nq for node in prefix_nodes + cycle_nodes]
-        states = [self.inst.states[gid] for gid in gids]
+        states = [self.inst.decode(self.inst.states[gid]) for gid in gids]
         truth = [frozenset(ap for bit, ap in enumerate(self.ba.aps)
                            if self._mask(gid) >> bit & 1) for gid in gids]
         split = len(prefix_nodes)
@@ -260,18 +260,25 @@ def buchi_accepts_lasso(ba: BuchiAutomaton, prefix_letters, cycle_letters) -> bo
 def replay_lasso(inst: Instance, lasso: Lasso, negated: Formula) -> list[str]:
     """Re-derive everything the lasso claims; returns problems (empty = valid).
 
-    Checks that the first state is initial, that each consecutive pair of
-    states (the cycle's wrap-around included) is the move of one process
-    by the reference step relation, ``cfa.step_successors``, that the
-    recorded proposition sets match direct evaluation, and that the negated
-    formula is true on the lasso's word.  The edges are not checked with
-    ``inst.successors`` or its step cache, the fast path that found them.
+    Checks that the first state is initial by the model's declarations,
+    that each consecutive pair of states (the cycle's wrap-around included)
+    is the move of one process by the reference step relation,
+    ``cfa.step_successors``, that the recorded proposition sets match
+    direct evaluation, and that the negated formula is true on the lasso's
+    word.  The edges are not checked with ``inst.successors`` or its step
+    cache, the fast path that found them.
     """
     problems: list[str] = []
     states = lasso.states()
     if not lasso.cycle:
         return ["lasso has an empty cycle"]
-    if states[0] not in inst.initial_states():
+    model = inst.model
+    initial = {model.statuses.index(s) for s in model.initial_statuses}
+    zero_locals = (0,) * len(model.locals)
+    procs, shareds = states[0]
+    if (len(procs) != inst.count or shareds != (0,) * len(model.shareds)
+            or any(status not in initial or values != zero_locals
+                   for status, values in procs)):
         problems.append("position 0: first state is not an initial state")
     moves: dict = {}   # (entry, shareds) -> that process's reference moves
 
@@ -304,9 +311,14 @@ def replay_lasso(inst: Instance, lasso: Lasso, negated: Formula) -> list[str]:
         elif not is_step(here, lasso.cycle[0]):
             problems.append("cycle does not close (last cycle state cannot reach the first)")
 
+    if any(len(procs) != inst.count for procs, _ in states):
+        # Reported above: such a state is neither initial nor a successor,
+        # and it has no packed form to label.
+        return problems
     aps = formula_aps(negated)
     evaluators = {ap: inst.compile_ap(ap) for ap in aps}
-    truth = [frozenset(ap for ap in aps if evaluators[ap](state)) for state in states]
+    packed = [inst.encode(state) for state in states]
+    truth = [frozenset(ap for ap in aps if evaluators[ap](state)) for state in packed]
     if [set(t) for t in truth] != [set(t) for t in lasso.ap_truth]:
         problems.append("recorded proposition sets disagree with direct evaluation")
     split = len(lasso.prefix)

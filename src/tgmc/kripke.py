@@ -5,24 +5,38 @@ A global transition moves exactly one process through its control-flow
 automaton (one full initial→final path) while every other process keeps its
 status and locals; shared variables are read and written by the mover.
 
-Engine representation (internal, compact, hashable):
+Engine representation: one ``int`` per state.  Each instance interns the
+process entries ``(status_index, (local values...))`` and the shared vectors
+(values in declaration order) it meets to small ids, and packs a state as
 
-    state   = (procs, shareds)
-    procs   = tuple of per-process entries (status_index, (local values...))
-    shareds = tuple of shared values, in declaration order
+    state = shareds_id + sum of digit_i << (32 + width * i)
+
+The low 32 bits hold the shareds id.  Under symmetry digit i is the number of
+processes whose entry has id i, in as many bits as the process count needs,
+so no count can carry into its neighbour.  Raw, digit i is the entry id of
+process i, in 32 bits.  An instance that would need a 33-bit entry id or
+shareds id raises ModelError rather than wrap.  A process's move from one
+entry and shared vector to another is one integer delta, cached per
+``(entry id, shareds id)``, and each successor is ``state + delta`` (raw:
+the entry part shifted to the mover's position).  ``decode`` gives the
+tuple view ``(procs, shareds)`` that counterexamples, traces and replay
+read, under symmetry with the processes sorted; ``encode`` is its
+inverse.
 
 Parameters are factored out of states: every state of an instance shares the
 instance's binding, so transitions preserve parameters by construction.
 
-Symmetry reduction (on by default) stores one representative per multiset of
-process entries — sound because processes are fully interchangeable and every
-atomic proposition is quantified over the process vector, hence invariant
-under permutations.
+Symmetry reduction (on by default) stores one state per multiset of process
+entries, sound because processes are fully interchangeable and every atomic
+proposition is quantified over the process vector, hence invariant under
+permutations.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from collections import Counter
 from typing import Callable
 
 from .cfa import step_successors
@@ -30,9 +44,12 @@ from .core import ModelError, ParamEnv, Valuation, eval_linear_form
 from .dsl import ModelDef
 from .ltl import AtomicProp, LessProp, StatusProp
 
-# Engine state aliases (documentation only).
+# The decoded view of a state (documentation only).
 ProcEntry = tuple[int, tuple[int, ...]]
 EngineState = tuple[tuple[ProcEntry, ...], tuple[int, ...]]
+
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 
 class Instance:
@@ -52,6 +69,12 @@ class Instance:
         if self.count < 0:
             raise ModelError(f"size {model.size.render()} evaluates to "
                              f"{self.count} (< 0) under {env}")
+        # Digit i sits at bit _shifts[i]: under symmetry one digit per
+        # entry id, wide enough for any count; raw one per process.
+        self._width = max(self.count.bit_length(), 1) if symmetry else _FIELD_BITS
+        self._digit_mask = (1 << self._width) - 1
+        self._shifts = [] if symmetry else [_FIELD_BITS + self._width * i
+                                            for i in range(self.count)]
         self.statuses = model.statuses
         self._status_index = {s: i for i, s in enumerate(model.statuses)}
         self._locals = model.locals
@@ -60,30 +83,99 @@ class Instance:
         self._init_indices = tuple(sorted(self._status_index[s]
                                           for s in model.initial_statuses))
         self._cfa = model.cfa
-        # (proc entry, shareds) -> tuple of successor (proc entry, shareds)
-        self._step_cache: dict[tuple[ProcEntry, tuple[int, ...]],
-                               tuple[tuple[ProcEntry, tuple[int, ...]], ...]] = {}
+        # Interned process entries and shared vectors; under symmetry the
+        # entry ids also in the natural order of their entries.
+        self._entries: list[ProcEntry] = []
+        self._order: list[int] = []
+        self._entry_ids: dict[ProcEntry, int] = {}
+        self._shared_vecs: list[tuple[int, ...]] = []
+        self._shared_ids: dict[tuple[int, ...], int] = {}
+        # (entry id, shareds id) -> the moves of a process there, as deltas:
+        # under symmetry one int each, raw (entry id delta, shareds id delta).
+        self._step_cache: dict[tuple[int, int], tuple] = {}
         # The state graph, built on demand and shared by every search over
         # this instance: states interned to dense ids, successor ids per id.
-        self.states: list[EngineState] = []
-        self._state_ids: dict[EngineState, int] = {}
+        self.states: list[int] = []
+        self._state_ids: dict[int, int] = {}
         self._successor_ids: list[tuple[int, ...] | None] = []
+
+    # -- packing --------------------------------------------------------------
+
+    def _entry_id(self, entry: ProcEntry) -> int:
+        eid = self._entry_ids.get(entry)
+        if eid is None:
+            eid = len(self._entries)
+            if not self.symmetry and eid > _FIELD_MASK:
+                raise ModelError(f"more than {_FIELD_MASK + 1} process "
+                                 "entries in one instance")
+            self._entry_ids[entry] = eid
+            self._entries.append(entry)
+            if self.symmetry:
+                self._shifts.append(_FIELD_BITS + self._width * eid)
+                bisect.insort(self._order, eid, key=self._entries.__getitem__)
+        return eid
+
+    def _shareds_id(self, shareds: tuple[int, ...]) -> int:
+        sid = self._shared_ids.get(shareds)
+        if sid is None:
+            sid = len(self._shared_vecs)
+            if sid > _FIELD_MASK:
+                raise ModelError(f"more than {_FIELD_MASK + 1} shared vectors "
+                                 "in one instance")
+            self._shared_ids[shareds] = sid
+            self._shared_vecs.append(shareds)
+        return sid
+
+    def encode(self, state: EngineState) -> int:
+        """The packed form of a ``(procs, shareds)`` state."""
+        procs, shareds = state
+        if len(procs) != self.count:
+            raise ModelError(f"a state of {len(procs)} processes in an "
+                             f"instance of {self.count}")
+        packed = self._shareds_id(shareds)
+        if self.symmetry:
+            for entry, n in Counter(procs).items():
+                packed += n << self._shifts[self._entry_id(entry)]
+        else:
+            for shift, entry in zip(self._shifts, procs):
+                packed += self._entry_id(entry) << shift
+        return packed
+
+    def decode(self, state: int) -> EngineState:
+        """The ``(procs, shareds)`` view of a packed state; under symmetry
+        the processes come sorted."""
+        shareds = self._shared_vecs[state & _FIELD_MASK]
+        entries = self._entries
+        if self.symmetry:
+            procs = tuple(entries[eid] for eid in self.entry_ids(state)
+                          for _ in range(state >> self._shifts[eid]
+                                         & self._digit_mask))
+        else:
+            procs = tuple(entries[eid] for eid in self.entry_ids(state))
+        return (procs, shareds)
+
+    def entry_ids(self, state: int) -> list[int]:
+        """The entry ids of ``state``'s processes: under symmetry each
+        distinct entry once, in the natural order of the entries; raw, one
+        per process, by position."""
+        shifts, mask = self._shifts, self._digit_mask
+        if self.symmetry:
+            return [eid for eid in self._order if state >> shifts[eid] & mask]
+        return [state >> shift & mask for shift in shifts]
 
     # -- initial states ------------------------------------------------------
 
-    def initial_states(self) -> list[EngineState]:
+    def initial_states(self) -> list[int]:
         zero_locals = (0,) * len(self._locals)
         zero_shareds = (0,) * len(self._shareds)
-        states: list[EngineState] = []
         if self.symmetry:
             combos = itertools.combinations_with_replacement(self._init_indices,
                                                              self.count)
         else:
             combos = itertools.product(self._init_indices, repeat=self.count)
-        for combo in combos:
-            procs = tuple((idx, zero_locals) for idx in combo)
-            states.append((procs, zero_shareds))
-        return states
+        return [self.encode((tuple((idx, zero_locals) for idx in combo),
+                             zero_shareds))
+                for combo in combos]
 
     # -- transitions ---------------------------------------------------------
 
@@ -103,34 +195,49 @@ class Instance:
                  tuple(local_map[n] for n in self._locals)),
                 tuple(shared_map[n] for n in self._shareds))
 
-    def _entry_successors(self, entry: ProcEntry, shareds: tuple[int, ...]):
-        key = (entry, shareds)
-        cached = self._step_cache.get(key)
-        if cached is None:
-            cached = tuple(self.entry(succ) for succ in step_successors(
-                self.valuation(entry, shareds), self._cfa))
-            self._step_cache[key] = cached
-        return cached
+    def _moves(self, eid: int, sid: int) -> tuple:
+        """The cached deltas of a process at entry ``eid`` and shareds
+        ``sid``, one per reference step successor, in its order."""
+        moves = []
+        valuation = self.valuation(self._entries[eid], self._shared_vecs[sid])
+        for succ in step_successors(valuation, self._cfa):
+            new_entry, new_shareds = self.entry(succ)
+            new_eid = self._entry_id(new_entry)
+            new_sid = self._shareds_id(new_shareds)
+            if self.symmetry:
+                moves.append((1 << self._shifts[new_eid])
+                             - (1 << self._shifts[eid]) + new_sid - sid)
+            else:
+                moves.append((new_eid - eid, new_sid - sid))
+        self._step_cache[eid, sid] = moves = tuple(moves)
+        return moves
 
-    def successors(self, state: EngineState) -> list[EngineState]:
+    def successors(self, state: int) -> list[int]:
         """All MOVE/FRAME successors, deduplicated, in deterministic order.
 
-        Under symmetry, identical process entries are expanded once (moving
-        either of two identical processes yields the same canonical state) and
-        each successor's process vector is sorted into its canonical form.
+        Under symmetry each distinct entry moves once (moving either of two
+        identical processes yields the same state), the entries in their
+        natural order; raw, each process moves, by position.
         """
-        procs, shareds = state
-        out: dict[EngineState, None] = {}
-        previous: ProcEntry | None = None
-        for i, entry in enumerate(procs):
-            if self.symmetry and entry == previous:
-                continue
-            previous = entry
-            for new_entry, new_shareds in self._entry_successors(entry, shareds):
-                new_procs = procs[:i] + (new_entry,) + procs[i + 1:]
-                if self.symmetry:
-                    new_procs = tuple(sorted(new_procs))
-                out[(new_procs, new_shareds)] = None
+        sid = state & _FIELD_MASK
+        cache = self._step_cache
+        out: dict[int, None] = {}
+        if self.symmetry:
+            for eid in self.entry_ids(state):
+                moves = cache.get((eid, sid))
+                if moves is None:
+                    moves = self._moves(eid, sid)
+                for delta in moves:
+                    out[state + delta] = None
+        else:
+            mask = self._digit_mask
+            for shift in self._shifts:
+                eid = state >> shift & mask
+                moves = cache.get((eid, sid))
+                if moves is None:
+                    moves = self._moves(eid, sid)
+                for entry_delta, shareds_delta in moves:
+                    out[state + (entry_delta << shift) + shareds_delta] = None
         if not out:
             # A state with no mover (e.g. zero processes) self-loops so that
             # every run is infinite.
@@ -139,7 +246,7 @@ class Instance:
 
     # -- state graph ----------------------------------------------------------
 
-    def state_id(self, state: EngineState) -> int:
+    def state_id(self, state: int) -> int:
         """The dense id of ``state``, interning it on first sight."""
         gid = self._state_ids.get(state)
         if gid is None:
@@ -154,15 +261,20 @@ class Instance:
         ``successors`` runs at most once per state."""
         succ = self._successor_ids[gid]
         if succ is None:
-            succ = tuple(self.state_id(s)
-                         for s in self.successors(self.states[gid]))
+            # From a list, the tuple is allocated at its final size; grown
+            # from a generator it is resized, which fragments the heap.
+            succ = tuple([self.state_id(s)
+                          for s in self.successors(self.states[gid])])
             self._successor_ids[gid] = succ
         return succ
 
     # -- labeling -------------------------------------------------------------
 
-    def compile_ap(self, ap: AtomicProp) -> Callable[[EngineState], bool]:
-        """Fast evaluator for one atomic proposition over engine states."""
+    def compile_ap(self, ap: AtomicProp) -> Callable[[int], bool]:
+        """Fast evaluator for one atomic proposition over packed states; it
+        reads each distinct entry of a state once."""
+        entries, shared_vecs = self._entries, self._shared_vecs
+        entry_ids = self.entry_ids
         if isinstance(ap, StatusProp):
             if ap.status not in self._status_index:
                 raise ModelError(f"unknown status {ap.status!r}")
@@ -170,24 +282,24 @@ class Instance:
             want_all = ap.quant == "all"
             eq = ap.eq
 
-            def eval_status(state: EngineState) -> bool:
-                procs = state[0]
-                if want_all:
-                    return all((e[0] == target) == eq for e in procs)
-                return any((e[0] == target) == eq for e in procs)
+            def eval_status(state: int) -> bool:
+                hits = ((entries[eid][0] == target) == eq
+                        for eid in entry_ids(state))
+                return all(hits) if want_all else any(hits)
 
             return eval_status
 
         if isinstance(ap, LessProp):
             offset = eval_linear_form(ap.offset, self.env)
-            x_slot = self._variable_slot(ap.x)
-            y_slot = self._variable_slot(ap.y)
+            x_local, x_slot = self._variable_slot(ap.x)
+            y_local, y_slot = self._variable_slot(ap.y)
 
-            def eval_less(state: EngineState) -> bool:
-                procs, shareds = state
-                for entry in procs:
-                    xv = entry[1][x_slot[1]] if x_slot[0] else shareds[x_slot[1]]
-                    yv = entry[1][y_slot[1]] if y_slot[0] else shareds[y_slot[1]]
+            def eval_less(state: int) -> bool:
+                shareds = shared_vecs[state & _FIELD_MASK]
+                for eid in entry_ids(state):
+                    local_vals = entries[eid][1]
+                    xv = local_vals[x_slot] if x_local else shareds[x_slot]
+                    yv = local_vals[y_slot] if y_local else shareds[y_slot]
                     if xv + offset < yv:
                         return True
                 return False
@@ -202,4 +314,3 @@ class Instance:
         if name in self._shareds:
             return (False, self._shareds.index(name))
         raise ModelError(f"unknown variable {name!r}")
-

@@ -6,18 +6,22 @@ path enumeration via networkx, step successors by per-path candidate
 substitution, temporal truth by walking the unique future chain of an
 ultimately periodic word, proposition truth by looking variables up by name,
 and emptiness via strongly connected components — so that agreement with the
-package is evidence, not tautology.
+package is evidence, not tautology.  The one exception is the state graph in
+tuple form: it is the successor relation as written before states were
+packed, over the same step relation, and pins the order in which the packed
+engine lists successors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import networkx as nx
 
 from tgmc.cfa import (EPS, Cfa, Guard, GuardAnd, GuardNot, Inc, Pick, SetStatus,
-                      SvEq, ThresholdLe)
+                      SvEq, ThresholdLe, step_successors)
 from tgmc.core import LinearForm, Valuation, make_valuation
 from tgmc.ltl import (And, AtomicProp, Formula, Future, Globally, LessProp,
                       Literal, Or, Release, StatusProp, Until)
@@ -178,6 +182,49 @@ def naive_step_successors(v: Valuation, cfa: Cfa) -> list[Valuation]:
             frontier = advanced
         results.update(frontier)
     return sorted(results, key=lambda w: (w.status, w.locals, w.shareds))
+
+
+# ---------------------------------------------------------------------------
+# The state graph in tuple form: states are (procs, shareds), procs a tuple
+# of (status_index, local values) entries, sorted under symmetry.
+
+def reference_initial_states(inst) -> list:
+    """The initial states of ``inst``, in the order the engine lists them."""
+    zero_locals = (0,) * len(inst.model.locals)
+    zero_shareds = (0,) * len(inst.model.shareds)
+    init = sorted(inst.model.statuses.index(s) for s in inst.model.initial_statuses)
+    if inst.symmetry:
+        combos = itertools.combinations_with_replacement(init, inst.count)
+    else:
+        combos = itertools.product(init, repeat=inst.count)
+    return [(tuple((idx, zero_locals) for idx in combo), zero_shareds)
+            for combo in combos]
+
+
+def reference_successors(inst, state, moves: dict) -> list:
+    """All successors of a tuple-form state, deduplicated, in the engine's
+    order: each process moves by ``cfa.step_successors`` in position order,
+    and under symmetry only the first of identical entries moves and every
+    successor's process vector is sorted.  A state with no mover repeats.
+    ``moves`` memoises the step relation per (entry, shareds)."""
+    procs, shareds = state
+    out: dict = {}
+    previous = None
+    for i, entry in enumerate(procs):
+        if inst.symmetry and entry == previous:
+            continue
+        previous = entry
+        if (entry, shareds) not in moves:
+            moves[entry, shareds] = [inst.entry(succ) for succ in step_successors(
+                inst.valuation(entry, shareds), inst.model.cfa)]
+        for new_entry, new_shareds in moves[entry, shareds]:
+            new_procs = procs[:i] + (new_entry,) + procs[i + 1:]
+            if inst.symmetry:
+                new_procs = tuple(sorted(new_procs))
+            out[(new_procs, new_shareds)] = None
+    if not out:
+        out[state] = None
+    return list(out)
 
 
 # ---------------------------------------------------------------------------

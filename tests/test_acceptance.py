@@ -311,7 +311,7 @@ def test_fairness_clause_necessary_for_liveness():
         aps = formula_aps(psi)
         evaluators = {ap: inst.compile_ap(ap) for ap in aps}
         states = lasso.states()
-        truth = [frozenset(ap for ap in aps if evaluators[ap](state))
+        truth = [frozenset(ap for ap in aps if evaluators[ap](inst.encode(state)))
                  for state in states]
         split = len(lasso.prefix)
         assert eval_formula_on_lasso(psi, truth[:split], truth[split:])

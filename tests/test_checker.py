@@ -1,9 +1,12 @@
 """Product emptiness search, verdicts, replay validation."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
+import tgmc
 from oracles import random_digraph, scc_accepting_lasso_exists
 from tgmc import checker
 from tgmc.buchi import build_buchi
@@ -159,6 +162,29 @@ def test_searches_share_the_instance_graph(monkeypatch):
         assert outcome(check_spec(model, env, spec, max_states=cap)) == want
 
 
+def test_the_benchmark_tracer_still_sees_every_layer():
+    # bench/tracing.py patches checker and kripke names by hand; after a
+    # rename its counters would read zero without failing.
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    checker._instance.cache_clear()
+    tracer.install(tgmc)
+    try:
+        verdict = tgmc.harness.check_spec(load_builtin("byz"),
+                                          {"n": 7, "t": 2, "f": 2}, "relay")
+    finally:
+        tracer.uninstall()
+        checker._instance.cache_clear()
+    assert verdict.status == "holds"
+    metrics = tracer.layer_metrics()
+    assert metrics["kripke.succ_calls"] > 0
+    assert metrics["cfa.step_calls"] > 0
+    assert metrics["checker.product_states"] == verdict.product_states
+
+
 def test_combined_formula_shapes():
     model = load_builtin("byz")
     corr = model.spec("corr").formula
@@ -245,6 +271,22 @@ def test_replay_rejects_corrupted_lassos():
     assert any("initial" in problem
                for problem in replay_lasso(inst, cut, verdict.negated))
 
+    # The first state must have exactly the instance's processes.
+    (procs, shareds), *rest = lasso.states()
+    crowded = [(tuple(sorted(procs + procs[:1])), shareds)] + rest
+    split = len(lasso.prefix)
+    extra = Lasso(prefix=crowded[:split], cycle=crowded[split:],
+                  ap_truth=list(lasso.ap_truth))
+    assert any("initial" in problem
+               for problem in replay_lasso(inst, extra, verdict.negated))
+    # ... also when every state has an extra process: a problem, not an error.
+    crowded = [(tuple(sorted(procs + procs[:1])), shareds)
+               for procs, shareds in lasso.states()]
+    extra = Lasso(prefix=crowded[:split], cycle=crowded[split:],
+                  ap_truth=list(lasso.ap_truth))
+    assert "position 0: first state is not an initial state" in \
+        replay_lasso(inst, extra, verdict.negated)
+
     # Missing proposition sets are a disagreement, not a skipped check.
     unlabeled = Lasso(prefix=list(lasso.prefix), cycle=list(lasso.cycle),
                       ap_truth=[])
@@ -266,17 +308,19 @@ def test_replay_checks_edges_against_the_reference_step_relation(poison):
     split = len(lasso.prefix)
     bad = Lasso(walk[:split], walk[split:], list(lasso.ap_truth))
     inst = Instance(model, env)
+    packed_before, packed_foreign = inst.encode(before), inst.encode(foreign)
     if poison == "successors":
         # The fast path claims the edge into the foreign state.
         real = inst.successors
         inst.successors = lambda state: (
-            real(state) + [foreign] if state == before else real(state))
-        assert foreign in inst.successors(before)
+            real(state) + [packed_foreign] if state == packed_before
+            else real(state))
+        assert packed_foreign in inst.successors(packed_before)
     else:
         # The step cache claims that the first process can make the jump.
-        entry = procs[0]
-        inst._step_cache[(entry, shareds)] = ((entry, foreign[1]),)
-        assert foreign in inst.successors(before)
+        key = (inst._entry_id(procs[0]), inst._shareds_id(shareds))
+        inst._step_cache[key] = (packed_foreign - packed_before,)
+        assert packed_foreign in inst.successors(packed_before)
     problems = replay_lasso(inst, bad, negate_to_nnf(model.spec("unforg").formula))
     assert f"position {at - 1}: recorded transition is not a successor" in problems
 

@@ -197,7 +197,7 @@ def test_exit_codes_and_summary_lines():
 def test_render_state_format():
     model = load_builtin("byz")
     inst = Instance(model, {"n": 7, "t": 2, "f": 2})
-    state = inst.initial_states()[0]
+    state = inst.decode(inst.initial_states()[0])
     assert render_state(state, model) == "nsnt=0 | V0(rcvd=0) V0(rcvd=0) V0(rcvd=0) V0(rcvd=0) V0(rcvd=0)"
 
 

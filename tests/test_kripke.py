@@ -4,8 +4,11 @@ import random
 
 import pytest
 
-from oracles import eval_atomic_prop, multiset_count, naive_step_successors
+from oracles import (eval_atomic_prop, multiset_count, naive_step_successors,
+                     reference_initial_states, reference_successors)
+from tgmc import kripke
 from tgmc.core import LinearForm, ModelError, make_valuation
+from tgmc.dsl import parse_model
 from tgmc.harness import TRACE_MAGIC, load_builtin, parse_trace
 from tgmc.kripke import Instance
 from tgmc.ltl import LessProp, StatusProp
@@ -14,6 +17,10 @@ from tgmc.ltl import LessProp, StatusProp
 def byz_instance(symmetry=True, env=None):
     return Instance(load_builtin("byz"), env or {"n": 7, "t": 2, "f": 2},
                     symmetry=symmetry)
+
+
+def decoded(inst, states):
+    return [inst.decode(state) for state in states]
 
 
 def canonical(state):
@@ -36,10 +43,10 @@ def test_initial_state_counts():
     # 5 processes (n-f), statuses V0/V1 free per process.
     inst = byz_instance(symmetry=False)
     assert inst.count == 5
-    full = inst.initial_states()
+    full = decoded(inst, inst.initial_states())
     assert len(full) == 2 ** 5 == 32
     inst = byz_instance(symmetry=True)
-    reduced = inst.initial_states()
+    reduced = decoded(inst, inst.initial_states())
     assert len(reduced) == multiset_count(2, 5) == 6
     # Every full initial state canonicalizes into the reduced set.
     canon = {canonical(s) for s in full}
@@ -59,15 +66,16 @@ def test_zero_process_instance_self_loops():
     states = inst.initial_states()
     assert len(states) == 1
     (empty,) = states
-    assert empty == ((), (0,))
+    assert inst.decode(empty) == ((), (0,))
     assert inst.successors(empty) == [empty]
 
 
 def test_successors_move_one_process_and_frame_the_rest():
     inst = byz_instance(symmetry=False)
     model = load_builtin("byz")
-    state = inst.initial_states()[7]
-    for succ in inst.successors(state):
+    packed = inst.initial_states()[7]
+    state = inst.decode(packed)
+    for succ in decoded(inst, inst.successors(packed)):
         procs, shareds = state
         new_procs, new_shareds = succ
         changed = [i for i in range(len(procs)) if procs[i] != new_procs[i]]
@@ -94,8 +102,9 @@ def test_symmetric_successors_are_canonical_quotient():
     frontier = full.initial_states()
     for _ in range(60):
         state = rng.choice(frontier)
-        via_full = {canonical(s) for s in full.successors(state)}
-        via_reduced = set(reduced.successors(canonical(state)))
+        via_full = {canonical(s) for s in decoded(full, full.successors(state))}
+        via_reduced = set(decoded(reduced, reduced.successors(
+            reduced.encode(canonical(full.decode(state))))))
         assert via_full == via_reduced
         frontier = full.successors(state) or frontier
 
@@ -103,7 +112,8 @@ def test_symmetric_successors_are_canonical_quotient():
 def test_canonicalize_is_idempotent_and_label_preserving():
     # Compiled propositions cannot tell a state from any permutation of its
     # process vector; the sorted vector is a fixed point that every
-    # permutation reaches, and the symmetric engine yields only such states.
+    # permutation reaches, and the symmetric engine yields only such states:
+    # a permutation packs to the same state.
     inst = byz_instance()
     model = load_builtin("byz")
     props = [StatusProp("all", "V0", True), StatusProp("some", "AC", True),
@@ -115,7 +125,7 @@ def test_canonicalize_is_idempotent_and_label_preserving():
     for _ in range(300):
         procs = tuple((rng.randrange(len(model.statuses)),
                        (rng.randrange(0, 5),))
-                      for _ in range(4))
+                      for _ in range(inst.count))
         state = (procs, (rng.randrange(0, 5),))
         c = canonical(state)
         assert canonical(c) == c
@@ -124,19 +134,24 @@ def test_canonicalize_is_idempotent_and_label_preserving():
         rng.shuffle(shuffled)
         permuted = (tuple(shuffled), state[1])
         assert canonical(permuted) == c
+        assert inst.encode(c) == inst.encode(state) == inst.encode(permuted)
+        assert inst.decode(inst.encode(permuted)) == c
         for prop, fn in zip(props, compiled):
-            assert fn(c) == fn(state) == fn(permuted)
-            assert fn(c) == eval_atomic_prop(prop, c, model, inst.env)
-        assert all(canonical(s) == s for s in inst.successors(c))
+            assert fn(inst.encode(c)) == fn(inst.encode(state)) == \
+                fn(inst.encode(permuted))
+            assert fn(inst.encode(c)) == eval_atomic_prop(prop, c, model, inst.env)
+        assert all(canonical(s) == s
+                   for s in decoded(inst, inst.successors(inst.encode(c))))
 
 
 def test_eval_atomic_prop_quantifiers():
     model = load_builtin("byz")
-    inst = Instance(model, {"n": 7, "t": 2, "f": 1})
     v0, ac = model.statuses.index("V0"), model.statuses.index("AC")
 
     def holds(prop, state):
-        value = inst.compile_ap(prop)(state)
+        # An instance of n - f = len(procs) processes, with f = 1.
+        inst = Instance(model, {"n": len(state[0]) + 1, "t": 2, "f": 1})
+        value = inst.compile_ap(prop)(inst.encode(state))
         assert value == eval_atomic_prop(prop, state, model, inst.env)
         return value
 
@@ -168,12 +183,12 @@ def test_compiled_ap_matches_direct_evaluation():
     seen = set(frontier)
     rng = random.Random("aps")
     for _ in range(200):
-        state = rng.choice(sorted(seen)[:500])
+        state = rng.choice(sorted(seen, key=inst.decode)[:500])
         for s in inst.successors(state):
             seen.add(s)
         for prop in props:
             assert inst.compile_ap(prop)(state) == \
-                eval_atomic_prop(prop, state, model, inst.env)
+                eval_atomic_prop(prop, inst.decode(state), model, inst.env)
 
 
 def test_unknown_names_raise():
@@ -186,3 +201,109 @@ def test_unknown_names_raise():
     with pytest.raises(ModelError):
         parse_trace(f"{TRACE_MAGIC}\nmodel: byz\nprefix:\n"
                     "  0: nsnt=0 | ZZ(rcvd=0) | -\n", load_builtin("byz"))
+
+
+# -- the packed form against the tuple-form reference --------------------------
+
+BARE = """model bare;
+param n;
+size n;
+status A, B;
+init A;
+step {
+  from qI to q1 : when sv == A;
+  from q1 to qF : set sv = B;
+  from qI to qF : when !(sv == A);
+}
+spec done: F all(sv == B);
+"""
+
+# The first process to move picks any x in 0..m: raw, more than 255 entry ids.
+WIDE = """model wide;
+param n, m;
+size n;
+status S0, S1;
+init S0;
+local x;
+shared done;
+step {
+  from qI to q1 : when sv == S0;
+  from q1 to q2 : when !(1 <= done);
+  from q2 to q3 : pick x where eps <= x + m;
+  from q3 to q4 : inc done;
+  from q4 to qF : set sv = S1;
+  from q1 to qF : when 1 <= done;
+  from qI to qF : when !(sv == S0);
+}
+spec once: G (some(sv == S1) -> G some(sv == S1));
+"""
+
+
+def reference_reachable(inst):
+    """The reachable states of ``inst`` in tuple form, by the reference."""
+    seen = set(reference_initial_states(inst))
+    frontier, moves = list(seen), {}
+    while frontier:
+        for succ in reference_successors(inst, frontier.pop(), moves):
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    return seen
+
+
+def walk_against_reference(inst):
+    """Walk every reachable packed state: it round-trips through decode and
+    encode, and its successors decode to the reference's list, in order.
+    Returns the decoded reachable states."""
+    initial = inst.initial_states()
+    assert decoded(inst, initial) == reference_initial_states(inst)
+    seen, frontier, moves = set(initial), list(initial), {}
+    while frontier:
+        state = frontier.pop()
+        view = inst.decode(state)
+        assert inst.encode(view) == state
+        successors = inst.successors(state)
+        assert decoded(inst, successors) == \
+            reference_successors(inst, view, moves), view
+        for succ in successors:
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    views = set(decoded(inst, seen))
+    assert len(views) == len(seen)
+    return views
+
+
+@pytest.mark.parametrize("model, env, symmetry, reachable", [
+    ("byz", {"n": 7, "t": 2, "f": 2}, True, 2688),
+    ("omit", {"n": 5, "t": 2, "f": 2}, False, 17498),
+    ("clean", {"n": 0, "t": 1}, True, 1),
+    # No digit may overflow into its neighbour: a model without locals or
+    # shareds, counts above 255, and more than 255 raw entry ids.
+    (BARE, {"n": 4}, False, 2 ** 4),
+    (BARE, {"n": 300}, True, 301),
+    (WIDE, {"n": 2, "m": 1000}, False, 1 + 2 * 1001),
+    (WIDE, {"n": 3, "m": 1000}, True, 1 + 1001),
+], ids=["byz-n7", "omit-n5-raw", "clean-n0", "bare-n4-raw", "bare-n300",
+        "wide-m1000-raw", "wide-m1000"])
+def test_packed_graph_matches_the_reference(model, env, symmetry, reachable):
+    model = load_builtin(model) if model in ("byz", "omit", "clean") \
+        else parse_model(model)
+    views = walk_against_reference(Instance(model, env, symmetry=symmetry))
+    assert len(views) == reachable
+    assert views == reference_reachable(Instance(model, env, symmetry=symmetry))
+
+
+def test_a_full_field_raises_instead_of_wrapping(monkeypatch):
+    # With 8-bit fields, entry id 256 of the raw instance does not fit.
+    monkeypatch.setattr(kripke, "_FIELD_BITS", 8)
+    monkeypatch.setattr(kripke, "_FIELD_MASK", 255)
+    small = Instance(parse_model(WIDE), {"n": 2, "m": 200}, symmetry=False)
+    assert len(walk_against_reference(small)) == 1 + 2 * 201
+    inst = Instance(parse_model(WIDE), {"n": 2, "m": 1000}, symmetry=False)
+    with pytest.raises(ModelError, match="entries"):
+        walk_against_reference(inst)
+    # ... and shareds id 256 does not either.
+    with pytest.raises(ModelError, match="shared vectors"):
+        for value in range(300):
+            inst.encode((((0, (0,)), (0, (0,))), (value,)))

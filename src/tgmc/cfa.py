@@ -7,8 +7,10 @@ is the union, over all initial→final paths, of the sequential composition of
 the edge operations; effects are visible to later operations on the same path.
 
 ``build_cfa`` is the one place an automaton is made: it checks the graph's
-shape and names, and orders its locations once.  ``step_successors`` and
-``enumerate_paths`` read that order (``Cfa.layers``) on every call.
+shape (one entry, one exit, no cycle, no duplicate edge) and orders its
+locations once.  ``step_successors`` and ``enumerate_paths`` read that order
+(``Cfa.layers``) on every call.  The names an edge uses are checked by the
+parser, which reads them with ``op_names``.
 """
 
 from __future__ import annotations
@@ -88,14 +90,7 @@ class PickAtom:
     offset: LinearForm = LinearForm()
 
     def render(self) -> str:
-        text = f"{self.lhs} <= {self.rhs}"
-        if self.offset.coeffs or self.offset.const:
-            rendered = self.offset.render()
-            if rendered.startswith("-"):
-                text += f" - {rendered[1:].lstrip()}"
-            else:
-                text += f" + {rendered}"
-        return text
+        return f"{self.lhs} <= {self.rhs}{self.offset.render_offset()}"
 
 
 @dataclass(frozen=True)
@@ -198,33 +193,39 @@ class Cfa:
                                                              repr=False)
 
 
-def _guard_names(expr: GuardExpr, statuses: list[str], variables: list[str],
-                 params: list[str]) -> None:
-    if isinstance(expr, SvEq):
-        statuses.append(expr.status)
-    elif isinstance(expr, ThresholdLe):
-        variables.append(expr.var)
-        params.extend(expr.bound.names())
-    elif isinstance(expr, GuardNot):
-        _guard_names(expr.item, statuses, variables, params)
-    elif isinstance(expr, GuardAnd):
-        for item in expr.items:
-            _guard_names(item, statuses, variables, params)
+def op_names(op: Op | GuardExpr) -> list[tuple[str, str]]:
+    """The ``(role, name)`` pairs an operation or guard names, in the order
+    they are written; a role is ``"status"``, ``"variable"`` or
+    ``"parameter"``, and EPS is not a name."""
+    if isinstance(op, Guard):
+        return op_names(op.expr)
+    if isinstance(op, GuardNot):
+        return op_names(op.item)
+    if isinstance(op, GuardAnd):
+        return [pair for item in op.items for pair in op_names(item)]
+    if isinstance(op, (SvEq, SetStatus)):
+        return [("status", op.status)]
+    if isinstance(op, ThresholdLe):
+        return [("variable", op.var)] + [("parameter", p) for p in op.bound.names()]
+    names = [("variable", op.var)]             # Inc or Pick
+    if isinstance(op, Pick):
+        for atom in op.cond.atoms:
+            names += [("variable", side) for side in (atom.lhs, atom.rhs)
+                      if side != EPS]
+            names += [("parameter", p) for p in atom.offset.names()]
+    return names
 
 
-def build_cfa(edges: Sequence[Edge], statuses: Sequence[str],
-              variables: Sequence[str],
-              params: Sequence[str]) -> tuple[Cfa | None, list[str]]:
-    """The automaton of ``edges``, or None with every problem found, as
-    human-readable messages.
+def build_cfa(edges: Sequence[Edge]) -> tuple[Cfa | None, list[str]]:
+    """The automaton of ``edges``, or None with every shape problem found,
+    as human-readable messages.
 
     The entry is the one location without an incoming edge and the exit the
     one without an outgoing edge.  A single Kahn pass from the entry orders
     the locations; a location it cannot place lies on or after a cycle.  In
     an acyclic graph with one entry and one exit, every location is on an
     entry-to-exit path, so no reachability check is needed.  Each edge must
-    be declared once, name only declared statuses, variables and parameters,
-    and bound every pick from above.
+    be declared once.  The names the edges use are the parser's to check.
     """
     out: dict[str, list[Edge]] = {}
     indegree: dict[str, int] = {}
@@ -256,35 +257,6 @@ def build_cfa(edges: Sequence[Edge], statuses: Sequence[str],
         unplaced = ", ".join(repr(loc) for loc, n in indegree.items() if n)
         problems.append(f"automaton has a cycle: locations {unplaced} "
                         "cannot be ordered")
-
-    for e in edges:
-        op = e.op
-        used_statuses: list[str] = []
-        used_vars: list[str] = []
-        used_params: list[str] = []
-        if isinstance(op, Guard):
-            _guard_names(op.expr, used_statuses, used_vars, used_params)
-        elif isinstance(op, SetStatus):
-            used_statuses.append(op.status)
-        elif isinstance(op, Inc):
-            used_vars.append(op.var)
-        elif isinstance(op, Pick):
-            used_vars.append(op.var)
-            if not op.cond.has_upper_bound():
-                problems.append(
-                    f"edge {e.src}->{e.dst}: unbounded nondeterministic choice"
-                    f" (no atom of the form '{EPS} <= variable + offset')")
-            for atom in op.cond.atoms:
-                for side in (atom.lhs, atom.rhs):
-                    if side != EPS:
-                        used_vars.append(side)
-                used_params.extend(atom.offset.names())
-        for role, used, known in (("status", used_statuses, statuses),
-                                  ("variable", used_vars, variables),
-                                  ("parameter", used_params, params)):
-            for name in used:
-                if name not in known:
-                    problems.append(f"edge {e.src}->{e.dst}: unknown {role} {name!r}")
     if problems:
         return None, problems
     layers = tuple((loc, tuple(out[loc])) for loc in order)

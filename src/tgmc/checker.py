@@ -5,7 +5,8 @@ The search is the classic two-color nested depth-first search, implemented
 iteratively (explicit stacks) so deep state spaces cannot overflow Python's
 recursion limit.  Every reported lasso is replay-validated before the verdict
 is returned: each transition is re-checked against the reference step
-relation (``cfa.step_successors``, one process at a time) and the negated
+relation (``cfa.step_successors``, one process at a time), each state's
+propositions are re-evaluated on its processes' valuations, and the negated
 formula is re-evaluated on the lasso's word by the direct fixpoint
 evaluator.  A verdict is therefore never justified by the search alone.  The
 same search decides whether an automaton accepts one lasso word
@@ -20,10 +21,11 @@ from dataclasses import dataclass
 
 from .buchi import BuchiAutomaton, build_buchi
 from .cfa import step_successors
-from .core import ModelError, ParamEnv
+from .core import ModelError, ParamEnv, Valuation, eval_linear_form
 from .dsl import ModelDef
 from .kripke import EngineState, Instance
-from .ltl import AtomicProp, Formula, Or, eval_formula_on_lasso, formula_aps, negate_to_nnf
+from .ltl import (AtomicProp, Formula, Or, StatusProp, eval_formula_on_lasso,
+                  formula_aps, negate_to_nnf)
 
 DEFAULT_MAX_PRODUCT_STATES = 50_000_000
 
@@ -257,6 +259,17 @@ def buchi_accepts_lasso(ba: BuchiAutomaton, prefix_letters, cycle_letters) -> bo
 # ---------------------------------------------------------------------------
 # Replay validation and the top-level check.
 
+def _holds(ap: AtomicProp, views: list[Valuation], env: ParamEnv) -> bool:
+    """The truth of ``ap`` in a state given as its processes' valuations,
+    each variable read by its declared name, as the reference step relation
+    reads it; over no processes ∀ is true and ∃ false."""
+    if isinstance(ap, StatusProp):
+        hits = [(v.status == ap.status) == ap.eq for v in views]
+        return all(hits) if ap.quant == "all" else any(hits)
+    offset = eval_linear_form(ap.offset, env)
+    return any(v.value(ap.x) + offset < v.value(ap.y) for v in views)
+
+
 def replay_lasso(inst: Instance, lasso: Lasso, negated: Formula) -> list[str]:
     """Re-derive everything the lasso claims; returns problems (empty = valid).
 
@@ -264,9 +277,10 @@ def replay_lasso(inst: Instance, lasso: Lasso, negated: Formula) -> list[str]:
     that each consecutive pair of states (the cycle's wrap-around included)
     is the move of one process by the reference step relation,
     ``cfa.step_successors``, that the recorded proposition sets match
-    direct evaluation, and that the negated formula is true on the lasso's
-    word.  The edges are not checked with ``inst.successors`` or its step
-    cache, the fast path that found them.
+    direct evaluation on the process valuations, and that the negated
+    formula is true on the lasso's word.  Neither the edges nor the labels
+    are checked with the fast path that found them: not with
+    ``inst.successors`` or its step cache, and not with ``inst.compile_ap``.
     """
     problems: list[str] = []
     states = lasso.states()
@@ -311,14 +325,11 @@ def replay_lasso(inst: Instance, lasso: Lasso, negated: Formula) -> list[str]:
         elif not is_step(here, lasso.cycle[0]):
             problems.append("cycle does not close (last cycle state cannot reach the first)")
 
-    if any(len(procs) != inst.count for procs, _ in states):
-        # Reported above: such a state is neither initial nor a successor,
-        # and it has no packed form to label.
-        return problems
     aps = formula_aps(negated)
-    evaluators = {ap: inst.compile_ap(ap) for ap in aps}
-    packed = [inst.encode(state) for state in states]
-    truth = [frozenset(ap for ap in aps if evaluators[ap](state)) for state in packed]
+    truth = []
+    for procs, shareds in states:
+        views = [inst.valuation(entry, shareds) for entry in procs]
+        truth.append(frozenset(ap for ap in aps if _holds(ap, views, inst.env)))
     if [set(t) for t in truth] != [set(t) for t in lasso.ap_truth]:
         problems.append("recorded proposition sets disagree with direct evaluation")
     split = len(lasso.prefix)

@@ -70,6 +70,14 @@ class LinearForm:
                 parts.append(f"{'+' if self.const > 0 else '-'} {abs(self.const)}")
         return " ".join(parts)
 
+    def render_offset(self) -> str:
+        """The form as an offset written after a term: `` + t - 1``,
+        `` - 2*t``, or nothing for zero."""
+        if not self.coeffs and not self.const:
+            return ""
+        text = self.render()
+        return f" - {text[1:].lstrip()}" if text.startswith("-") else f" + {text}"
+
     def __str__(self) -> str:
         return self.render()
 

@@ -1,4 +1,4 @@
-"""The `.tg` modeling language: parser, validator, and pretty-printer.
+"""The `.tg` modeling language: parser, name checker, and pretty-printer.
 
 A model file is a sequence of `;`-terminated statements (`#` starts a line
 comment)::
@@ -24,11 +24,14 @@ from above).
 Formulas: literals ``all(sv == Z)``, ``some(sv != Z)``, ``some(x [± terms] < y)``
 (and ``!`` on a literal), the operators ``F``, ``G``, infix ``U``, ``&&``,
 ``||``, and the sugar ``lit -> formula`` (desugared to ``!lit || formula``).
-Formula keywords (``all``, ``some``, ``sv``, ``eps``, ``F``, ``G``, ``U``) are
-reserved and may not be declared as names.
+The statement and operation keywords, the formula keywords (``all``,
+``some``, ``sv``, ``eps``, ``F``, ``G``, ``U``, ``R``), ``true`` and ``false``
+are reserved.  ``model``, ``size``, ``resilience`` and ``step`` appear once.
 
-Parsing collects as many diagnostics as it can (with line:column positions)
-before failing; it never aborts the process.
+The parser checks every name where it is written (see ``parse_model``);
+``cfa.build_cfa`` checks only the step block's graph.  Parsing collects as
+many diagnostics as it can (with line:column positions) before failing; it
+never aborts the process.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 from .cfa import (EPS, Cfa, Edge, Guard, GuardAnd, GuardExpr, GuardNot, Inc, Op,
                   Pick, PickAtom, PickCond, SetStatus, SvEq, ThresholdLe,
-                  build_cfa)
+                  build_cfa, op_names)
 from .core import (Comparison, LinearForm, ModelError, ParamEnv,
                    ResilienceCondition, normalize_coeffs, parse_int)
 from .ltl import (And, Formula, Future, Globally, LessProp, Literal, Or,
@@ -341,13 +344,17 @@ class _Parser:
                   f"found {self._describe(self.peek())}")
         raise AssertionError
 
+    def parse_offset(self) -> LinearForm:
+        """An optional ``± terms`` after a variable; zero if absent."""
+        if self.at("+") or self.at("-"):
+            return self.parse_linear_form()
+        return LinearForm()
+
     def parse_pick_atom(self) -> PickAtom:
         lhs = self.expect_ident(f"variable name or {EPS!r}")
         self.expect("<=")
         rhs = self.expect_ident(f"variable name or {EPS!r}")
-        offset = (self.parse_linear_form() if self.at("+") or self.at("-")
-                  else LinearForm())
-        return PickAtom(lhs, rhs, offset)
+        return PickAtom(lhs, rhs, self.parse_offset())
 
     # -- formulas ------------------------------------------------------------
 
@@ -430,8 +437,7 @@ class _Parser:
             self.fail("comparisons between variables are existential: "
                       "use 'some(x [± offset] < y)'", tok)
         x = self.expect_ident("variable name")
-        offset = (self.parse_linear_form() if self.at("+") or self.at("-")
-                  else LinearForm())
+        offset = self.parse_offset()
         self.expect("<")
         y = self.expect_ident("variable name")
         self.expect(")")
@@ -439,11 +445,20 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Statement-level parsing and semantic validation.
+# Statement-level parsing and name checking.
+
+# Declaring keyword -> the role of the names it declares.
+_DECLARATIONS = {"param": "parameter", "status": "status",
+                 "local": "variable", "shared": "variable"}
+_SINGLETONS = ("model", "size", "resilience", "step")
+
 
 def parse_model(text: str) -> ModelDef:
     """Parse a model source into a validated ModelDef.
 
+    Every name is checked where it is written: a declared name against the
+    reserved words and the names declared before it, a used name, once all
+    statements are read, against the table of declared names and roles.
     Raises ModelSyntaxError carrying every diagnostic found (syntax and
     semantic); diagnostics have 1-based line/column positions.
     """
@@ -451,61 +466,97 @@ def parse_model(text: str) -> ModelDef:
     parser = _Parser(tokens, diagnostics)
 
     name: str | None = None
-    params: list[str] = []
+    declared: dict[str, list[str]] = {keyword: [] for keyword in _DECLARATIONS}
+    roles: dict[str, str] = {}              # parameter, status, variable names
+    unfair_names: dict[str, str] = {}
+    spec_names: dict[str, str] = {}
+    # Deferred uses: (token, role, name, diagnostic if the name lacks the role).
+    uses: list[tuple[Token, str, str, str]] = []
     resilience = ResilienceCondition()
     size: LinearForm | None = None
-    statuses: list[str] = []
     initial_statuses: list[str] = []
-    locals_: list[str] = []
-    shareds: list[str] = []
     edges: list[Edge] = []
     step_tok: Token | None = None
+    seen_singletons: set[str] = set()
     unfairness: list[tuple[str, Formula]] = []
-    unfair_toks: list[Token] = []
     specs: list[SpecDef] = []
-    spec_toks: list[Token] = []
 
-    def parse_name_list(target: list[str], role: str) -> None:
-        target.append(parser.expect_ident(role))
-        while parser.take(","):
-            target.append(parser.expect_ident(role))
+    def name_tokens(role: str):
+        """The tokens of a comma-separated list of names."""
+        while True:
+            tok = parser.peek()
+            parser.expect_ident(f"{role} name")
+            yield tok
+            if not parser.take(","):
+                return
+
+    def report(tok: Token, message: str) -> None:
+        diagnostics.append(Diagnostic(tok.line, tok.col, message))
+
+    def declare(tok: Token, role: str, table: dict[str, str]) -> str:
+        if tok.text in RESERVED_NAMES:
+            report(tok, f"{role} {tok.text!r} is a reserved word")
+        if table.get(tok.text) == role:
+            report(tok, f"duplicate {role} {tok.text!r}")
+        elif tok.text in table:
+            report(tok, f"name {tok.text!r} is declared in more than one role")
+        table.setdefault(tok.text, role)
+        return tok.text
+
+    def use(tok: Token, pairs, prefix: str = "") -> None:
+        uses.extend((tok, role, n, f"{prefix}unknown {role} {n!r}")
+                    for role, n in pairs)
+
+    def use_formula(tok: Token, formula: Formula) -> None:
+        for ap in formula_aps(formula):
+            if isinstance(ap, StatusProp):
+                use(tok, [("status", ap.status)])
+            else:
+                use(tok, [("variable", ap.x), ("variable", ap.y)]
+                    + [("parameter", p) for p in ap.offset.names()])
+
+    def use_params(tok: Token, *forms: LinearForm) -> None:
+        use(tok, [("parameter", p) for form in forms for p in form.names()])
 
     while parser.peek().kind != "eof":
         tok = parser.peek()
         try:
+            if tok.kind == "ident" and tok.text in _SINGLETONS:
+                if tok.text in seen_singletons:
+                    report(tok, f"duplicate {tok.text!r} statement")
+                seen_singletons.add(tok.text)
             if parser.take("model"):
                 name = parser.expect_ident("model name")
                 parser.expect(";")
-            elif parser.take("param"):
-                parse_name_list(params, "parameter name")
+            elif tok.kind == "ident" and tok.text in _DECLARATIONS:
+                parser.advance()
+                role = _DECLARATIONS[tok.text]
+                for name_tok in name_tokens(role):
+                    declared[tok.text].append(declare(name_tok, role, roles))
                 parser.expect(";")
             elif parser.take("resilience"):
                 conjuncts = [parser.parse_comparison()]
                 while parser.take("&&"):
                     conjuncts.append(parser.parse_comparison())
                 resilience = ResilienceCondition(tuple(conjuncts))
+                use_params(tok, *(form for c in conjuncts for form in (c.lhs, c.rhs)))
                 parser.expect(";")
             elif parser.take("size"):
                 size = parser.parse_linear_form()
-                parser.expect(";")
-            elif parser.take("status"):
-                parse_name_list(statuses, "status name")
+                use_params(tok, size)
                 parser.expect(";")
             elif parser.take("init"):
-                parse_name_list(initial_statuses, "status name")
+                for name_tok in name_tokens("status"):
+                    initial_statuses.append(name_tok.text)
+                    uses.append((tok, "status", name_tok.text, "initial status "
+                                 f"{name_tok.text!r} is not declared"))
                 parser.expect(";")
-            elif parser.take("local"):
-                parse_name_list(locals_, "variable name")
-                parser.expect(";")
-            elif parser.take("shared"):
-                parse_name_list(shareds, "variable name")
-                parser.expect(";")
-            elif parser.at("step"):
-                step_tok = tok
-                parser.advance()
+            elif parser.take("step"):
+                step_tok = step_tok or tok
                 parser.expect("{")
                 while not parser.take("}"):
-                    if parser.peek().kind == "eof":
+                    edge_tok = parser.peek()
+                    if edge_tok.kind == "eof":
                         parser.fail("unterminated step block")
                     try:
                         parser.expect("from")
@@ -515,44 +566,44 @@ def parse_model(text: str) -> ModelDef:
                         parser.expect(":")
                         op = parser.parse_op()
                         parser.expect(";")
-                        edges.append(Edge(src, op, dst))
                     except _Recover:
                         parser.skip_statement()
+                        continue
+                    edges.append(Edge(src, op, dst))
+                    if isinstance(op, Pick) and not op.cond.has_upper_bound():
+                        report(edge_tok, f"edge {src}->{dst}: unbounded "
+                               f"nondeterministic choice (no atom of the form "
+                               f"'{EPS} <= variable + offset')")
+                    use(edge_tok, op_names(op), f"edge {src}->{dst}: ")
             elif parser.take("unfair"):
-                unfair_name = parser.expect_ident("unfairness name")
+                name_tok = parser.peek()
+                parser.expect_ident("unfairness name")
                 parser.expect(":")
                 formula = parser.parse_formula()
                 parser.expect(";")
-                unfairness.append((unfair_name, formula))
-                unfair_toks.append(tok)
+                unfairness.append((declare(name_tok, "unfairness name",
+                                           unfair_names), formula))
+                use_formula(tok, formula)
             elif parser.take("spec"):
-                spec_name = parser.expect_ident("spec name")
+                name_tok = parser.peek()
+                parser.expect_ident("spec name")
                 unless = None
                 if parser.take("unless"):
                     unless = parser.expect_ident("unfairness name")
                 parser.expect(":")
                 formula = parser.parse_formula()
                 parser.expect(";")
-                specs.append(SpecDef(spec_name, formula, unless))
-                spec_toks.append(tok)
+                specs.append(SpecDef(declare(name_tok, "spec name", spec_names),
+                                     formula, unless))
+                use_formula(tok, formula)
+                if unless is not None:
+                    uses.append((tok, "unfairness name", unless,
+                                 f"spec {name_tok.text!r} references undeclared "
+                                 f"unfairness {unless!r}"))
             else:
                 parser.fail(f"unknown statement {parser._describe(tok)}")
         except _Recover:
             parser.skip_statement()
-
-    # Semantic validation (positions point at the owning statement).
-    top = Token("eof", "", 1, 1)
-
-    def check_names(names: list[str], role: str, tok: Token) -> None:
-        seen: set[str] = set()
-        for n in names:
-            if n in RESERVED_NAMES:
-                diagnostics.append(Diagnostic(tok.line, tok.col,
-                                              f"{role} {n!r} is a reserved word"))
-            if n in seen:
-                diagnostics.append(Diagnostic(tok.line, tok.col,
-                                              f"duplicate {role} {n!r}"))
-            seen.add(n)
 
     if name is None:
         diagnostics.append(Diagnostic(1, 1, "missing 'model NAME;' statement"))
@@ -560,75 +611,30 @@ def parse_model(text: str) -> ModelDef:
     if size is None:
         diagnostics.append(Diagnostic(1, 1, "missing 'size <linear form>;' statement"))
         size = LinearForm()
-    if not statuses:
+    if not declared["status"]:
         diagnostics.append(Diagnostic(1, 1, "missing 'status ...;' statement"))
     if not initial_statuses:
         diagnostics.append(Diagnostic(1, 1, "missing 'init ...;' statement"))
+    cfa: Cfa | None = None
     if not edges:
         diagnostics.append(Diagnostic(1, 1, "missing or empty 'step { ... }' block"))
-
-    check_names(params, "parameter", top)
-    check_names(statuses, "status", top)
-    check_names(locals_ + shareds, "variable", top)
-    all_declared = params + statuses + locals_ + shareds
-    for dup in sorted({n for n in all_declared if all_declared.count(n) > 1}):
-        diagnostics.append(Diagnostic(top.line, top.col,
-                                      f"name {dup!r} is declared in more than one role"))
-    for status in initial_statuses:
-        if status not in statuses:
-            diagnostics.append(Diagnostic(top.line, top.col,
-                                          f"initial status {status!r} is not declared"))
-
-    declared_vars = set(locals_) | set(shareds)
-    declared_params = set(params)
-    for form in [size] + [c.lhs for c in resilience.conjuncts] \
-            + [c.rhs for c in resilience.conjuncts]:
-        for pname in form.names():
-            if pname not in declared_params:
-                diagnostics.append(Diagnostic(top.line, top.col,
-                                              f"unknown parameter {pname!r}"))
-
-    cfa: Cfa | None = None
-    if edges:
-        cfa, problems = build_cfa(edges, statuses, locals_ + shareds, params)
-        where = step_tok or top
-        diagnostics.extend(Diagnostic(where.line, where.col, p) for p in problems)
-
-    def check_formula(formula: Formula, tok: Token) -> None:
-        for ap in formula_aps(formula):
-            if isinstance(ap, StatusProp):
-                if ap.status not in statuses:
-                    diagnostics.append(Diagnostic(tok.line, tok.col,
-                                                  f"unknown status {ap.status!r}"))
-            else:
-                for v in (ap.x, ap.y):
-                    if v not in declared_vars:
-                        diagnostics.append(Diagnostic(tok.line, tok.col,
-                                                      f"unknown variable {v!r}"))
-                for pname in ap.offset.names():
-                    if pname not in declared_params:
-                        diagnostics.append(Diagnostic(tok.line, tok.col,
-                                                      f"unknown parameter {pname!r}"))
-
-    unfair_names = [n for n, _ in unfairness]
-    check_names(unfair_names, "unfairness name", top)
-    for (unfair_name, formula), tok in zip(unfairness, unfair_toks):
-        check_formula(formula, tok)
-    check_names([s.name for s in specs], "spec name", top)
-    for spec, tok in zip(specs, spec_toks):
-        check_formula(spec.formula, tok)
-        if spec.unless is not None and spec.unless not in unfair_names:
-            diagnostics.append(Diagnostic(tok.line, tok.col,
-                                          f"spec {spec.name!r} references undeclared "
-                                          f"unfairness {spec.unless!r}"))
+    else:
+        cfa, problems = build_cfa(edges)
+        for problem in problems:
+            report(step_tok, problem)
+    for tok, role, used, message in uses:
+        if role not in (roles.get(used), unfair_names.get(used)):
+            report(tok, message)
 
     if diagnostics:
         raise ModelSyntaxError(diagnostics)
 
-    return ModelDef(name=name, params=tuple(params), resilience=resilience,
-                    size=size, statuses=tuple(statuses),
+    return ModelDef(name=name, params=tuple(declared["param"]),
+                    resilience=resilience, size=size,
+                    statuses=tuple(declared["status"]),
                     initial_statuses=tuple(initial_statuses),
-                    locals=tuple(locals_), shareds=tuple(shareds), cfa=cfa,
+                    locals=tuple(declared["local"]),
+                    shareds=tuple(declared["shared"]), cfa=cfa,
                     unfairness=tuple(unfairness), specs=tuple(specs))
 
 

@@ -306,17 +306,20 @@ def parse_trace(text: str, model: ModelDef) -> TraceData:
             else:
                 raise ModelError(f"trace line {line_no}: unknown header {key!r}")
             continue
-        state, aps = _parse_state_line(stripped, model, line_no)
+        position = len(data.prefix) + len(data.cycle)
+        state, aps = _parse_state_line(stripped, model, line_no, position)
         getattr(data, section).append(state)
         data.ap_strings.append(aps)
     return data
 
 
-def _parse_state_line(line: str, model: ModelDef,
-                      line_no: int) -> tuple[EngineState, set[str]]:
+def _parse_state_line(line: str, model: ModelDef, line_no: int,
+                      position: int) -> tuple[EngineState, set[str]]:
     head, sep, rest = line.partition(":")
-    if not sep or not head.strip().isdigit():
+    if not sep:
         raise ModelError(f"trace line {line_no}: expected 'N: state'")
+    if head.strip() != str(position):       # ASCII digits, the state's index
+        raise ModelError(f"trace line {line_no}: expected position {position}")
     parts = rest.strip().split(" | ")
     if len(parts) != 3:
         raise ModelError(f"trace line {line_no}: expected "

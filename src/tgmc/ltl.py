@@ -37,12 +37,7 @@ class LessProp:
     y: str
 
     def render(self) -> str:
-        if not self.offset.coeffs and not self.offset.const:
-            middle = ""
-        else:
-            rendered = self.offset.render()
-            middle = f" - {rendered[1:].lstrip()}" if rendered.startswith("-") else f" + {rendered}"
-        return f"some({self.x}{middle} < {self.y})"
+        return f"some({self.x}{self.offset.render_offset()} < {self.y})"
 
 
 AtomicProp = StatusProp | LessProp

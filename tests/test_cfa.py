@@ -8,7 +8,7 @@ from oracles import naive_step_successors, nx_step_paths, random_valuation
 from tgmc.cfa import (EPS, Edge, Guard, Inc, Pick, PickAtom, PickCond,
                       SetStatus, SvEq, ThresholdLe, GuardAnd, GuardNot,
                       apply_op, build_cfa, enumerate_paths, eval_guard,
-                      pick_range, step_successors)
+                      op_names, pick_range, step_successors)
 from tgmc.core import LinearForm, ModelError, make_valuation
 from tgmc.harness import BUILTIN_NAMES, load_builtin
 
@@ -84,29 +84,36 @@ def test_apply_op_semantics():
 # -- structure -----------------------------------------------------------------
 
 def test_validate_rejects_cycles_and_dangles():
-    names = (("V0",), ("rcvd", "nsnt"), ("n",))
     loop = (Edge("qI", Guard(SvEq("V0")), "q1"),
             Edge("q1", Guard(SvEq("V0")), "q1"),
             Edge("q1", Guard(SvEq("V0")), "qF"))
-    cfa, problems = build_cfa(loop, *names)
+    cfa, problems = build_cfa(loop)
     assert cfa is None
     assert any("cycle" in p for p in problems)
     dangling = (Edge("qI", Guard(SvEq("V0")), "qF"),
                 Edge("qI", Guard(SvEq("V0")), "q9"))
-    cfa, problems = build_cfa(dangling, *names)
+    cfa, problems = build_cfa(dangling)
     assert cfa is None
     assert any("q9" in p for p in problems)
-    bad_names = (Edge("qI", Guard(SvEq("ZZ")), "qF"),)
-    cfa, problems = build_cfa(bad_names, *names)
-    assert cfa is None
-    assert any("ZZ" in p for p in problems)
+
+
+def test_op_names_lists_every_name_in_writing_order():
+    guard = Guard(GuardAnd((SvEq("V0"), GuardNot(ThresholdLe(
+        LinearForm.of(1, t=1), "rcvd")))))
+    assert op_names(guard) == [("status", "V0"), ("variable", "rcvd"),
+                               ("parameter", "t")]
+    assert op_names(SetStatus("AC")) == [("status", "AC")]
+    assert op_names(Inc("nsnt")) == [("variable", "nsnt")]
+    pick = Pick("rcvd", PickCond((PickAtom("rcvd", EPS),
+                                  PickAtom(EPS, "nsnt", LinearForm.of(f=1)))))
+    assert op_names(pick) == [("variable", "rcvd"), ("variable", "rcvd"),
+                              ("variable", "nsnt"), ("parameter", "f")]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_cfas_validate_cleanly(name):
     model = load_builtin(name)
-    assert build_cfa(model.cfa.edges, model.statuses,
-                     model.locals + model.shareds, model.params) == (model.cfa, [])
+    assert build_cfa(model.cfa.edges) == (model.cfa, [])
 
 
 @pytest.mark.parametrize("name,expected", [

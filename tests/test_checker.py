@@ -325,6 +325,27 @@ def test_replay_checks_edges_against_the_reference_step_relation(poison):
     assert f"position {at - 1}: recorded transition is not a successor" in problems
 
 
+def test_replay_labels_states_by_the_reference_semantics(monkeypatch):
+    """A search whose proposition evaluator lies finds a lasso in a healthy
+    instance; replay evaluates the propositions itself and rejects it."""
+    real = Instance.compile_ap
+
+    def poisoned(inst, ap):
+        if isinstance(ap, StatusProp) and ap.status == "AC" and ap.eq:
+            value = ap.quant == "some"      # some(sv == AC), not all(sv == AC)
+            return lambda state: value
+        if isinstance(ap, LessProp):
+            return lambda state: False
+        return real(inst, ap)
+
+    model = load_builtin("byz")
+    env = {"n": 7, "t": 2, "f": 2}
+    assert check_spec(model, env, "relay").status == "holds"
+    monkeypatch.setattr(Instance, "compile_ap", poisoned)
+    with pytest.raises(ModelError, match="counterexample failed replay"):
+        check_spec(model, env, "relay")
+
+
 def test_verdict_fields_document_the_run():
     model = load_builtin("byz")
     verdict = check_spec(model, {"n": 7, "t": 2, "f": 2}, "corr")

@@ -224,14 +224,49 @@ LAST_EDGE = "  from q1 to qF : when !(t + 1 <= rcvd);\n"
     ("from q2 to qF : set sv = AC;", ["duplicate edge q2->qF"]),
     ("from q0 to q1 : set sv = NOPE;",
      ["step block must have exactly one entry location (found ['qI', 'q0'])",
-      "edge q0->q1: unknown status 'NOPE'"]),
+      "15:1: edge q0->q1: unknown status 'NOPE'"]),
 ])
 def test_malformed_step_blocks_rejected(extra, expected):
+    """Shape problems point at the step block, name problems at their edge."""
     bad = MINIMAL.replace(LAST_EDGE, LAST_EDGE + extra + "\n")
     with pytest.raises(ModelSyntaxError) as err:
         parse_model(bad)
     assert [d.render() for d in err.value.diagnostics] == \
-        [f"10:1: {message}" for message in expected]
+        [message if message[0].isdigit() else f"10:1: {message}"
+         for message in expected]
+
+
+def test_names_are_checked_where_they_are_written():
+    bad = (MINIMAL.replace("status V0, V1, AC;", "status V0, V1, AC, V1;")
+                  .replace("init V0, V1;", "init V0, C;")
+                  .replace("size n;", "size n - k;")
+                  .replace("when t + 1 <= rcvd;", "when t + 1 <= ghost;")
+                  .replace("when !(t + 1 <= rcvd)", "when !(sv == ZZ)")
+                  .replace("eps <= nsnt;", "eps <= eps;"))
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(bad)
+    assert [d.render() for d in err.value.diagnostics] == [
+        "6:20: duplicate status 'V1'",     # once: no "more than one role"
+        "11:3: edge qI->q1: unbounded nondeterministic choice "
+        "(no atom of the form 'eps <= variable + offset')",
+        "5:1: unknown parameter 'k'",
+        "7:1: initial status 'C' is not declared",
+        "12:3: edge q1->q2: unknown variable 'ghost'",
+        "14:3: edge q1->qF: unknown status 'ZZ'",
+    ]
+
+
+@pytest.mark.parametrize("keyword,repeat", [
+    ("model", "model other;"),
+    ("size", "size t;"),
+    ("resilience", "resilience t > 0;"),
+    ("step", "step { from qI to qF : set sv = AC; }"),
+])
+def test_repeated_singleton_statements_rejected(keyword, repeat):
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(MINIMAL + repeat + "\n")
+    assert [d.render() for d in err.value.diagnostics] == \
+        [f"19:1: duplicate {keyword!r} statement"]
 
 
 def test_guard_only_over_declared_names():

@@ -1,6 +1,7 @@
 """Case running, manifests, result CSVs, and trace round-trips."""
 
 import io
+import re
 
 import pytest
 
@@ -262,7 +263,30 @@ def test_trace_verification_catches_broken_cycle():
     lines = [line for line in text.splitlines() if line.strip()]
     clipped = "\n".join(lines[:-1]) + "\n"
     assert verify_trace(clipped, model) != []
-    # Remove the first state: the run no longer starts in an initial state.
-    cut = "\n".join(line for line in lines
-                    if not line.startswith("  0:")) + "\n"
+    # Remove the first state: the positions no longer count from 0 ...
+    kept = [line for line in lines if not line.startswith("  0:")]
+    cut = "\n".join(kept) + "\n"
+    line_no = next(i for i, line in enumerate(text.splitlines(), 1)
+                   if line.startswith("  1:")) - 1
+    assert verify_trace(cut, model) == \
+        [f"trace line {line_no}: expected position 0"]
+    # ... and renumbered, the run no longer starts in an initial state.
+    renumbered = [re.sub(r"^  (\d+):", lambda m: f"  {int(m[1]) - 1}:", line)
+                  for line in kept]
+    cut = "\n".join(renumbered) + "\n"
     assert any("initial" in problem for problem in verify_trace(cut, model))
+
+
+@pytest.mark.parametrize("head", ["7", "²"])
+def test_trace_positions_are_checked(head):
+    model = load_builtin("byz")
+    env = {"n": 7, "t": 1, "f": 2}
+    verdict = check_spec(model, env, "relay")
+    assert verdict.status == "violated"
+    text = render_trace(verdict.counterexample, model, env=env, spec_name="relay")
+    assert verify_trace(text, model) == []
+    lines = text.splitlines()
+    line_no = next(i for i, line in enumerate(lines, 1) if line.startswith("  1:"))
+    lines[line_no - 1] = lines[line_no - 1].replace("  1:", f"  {head}:", 1)
+    assert verify_trace("\n".join(lines) + "\n", model) == \
+        [f"trace line {line_no}: expected position 1"]

@@ -80,7 +80,7 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # Generic nested DFS (blue/red with early cycle detection).
 
-_CYAN, _BLUE = 1, 2
+_CYAN, _BLUE, _RED = 1, 2, 3
 
 
 def nested_dfs(initial_nodes, successors, is_accepting,
@@ -92,19 +92,17 @@ def nested_dfs(initial_nodes, successors, is_accepting,
     (prefix_nodes, cycle_nodes) with the last cycle node having an edge back
     to the first cycle node.  Deterministic for deterministic inputs.  Raises
     ResourceCapExceeded when more than ``max_stored`` nodes would be stored.
+    A node is cyan while on the blue stack, then blue, or red once a red
+    search has passed it.
     """
+    cap = float("inf") if max_stored is None else max_stored
     colors: dict = {}
-    red: set = set()
-
-    def check_cap() -> None:
-        if max_stored is not None and len(colors) > max_stored:
-            raise ResourceCapExceeded(len(colors))
-
     for start in initial_nodes:
         if start in colors:
             continue
         colors[start] = _CYAN
-        check_cap()
+        if len(colors) > cap:
+            raise ResourceCapExceeded(len(colors))
         stack = [(start, iter(successors(start)))]
         while stack:
             node, it = stack[-1]
@@ -116,34 +114,39 @@ def nested_dfs(initial_nodes, successors, is_accepting,
                     return (chain[:at], chain[at:]), len(colors)
                 if color is None:
                     colors[child] = _CYAN
-                    check_cap()
+                    if len(colors) > cap:
+                        raise ResourceCapExceeded(len(colors))
                     stack.append((child, iter(successors(child))))
                     break
             else:
                 stack.pop()
                 if is_accepting(node):
-                    found = _red_search(node, successors, colors, red)
+                    found = _red_search(node, successors, colors)
                     if found is not None:
                         red_path, target = found
                         chain = [frame[0] for frame in stack] + [node]
                         at = chain.index(target)
                         cycle = chain[at:] + red_path[1:]
                         return (chain[:at], cycle), len(colors)
-                colors[node] = _BLUE
+                    colors[node] = _RED
+                else:
+                    colors[node] = _BLUE
     return None, len(colors)
 
 
-def _red_search(seed, successors, colors, red):
+def _red_search(seed, successors, colors):
     """Depth-first hunt, from an accepting postorder node, for an edge back
-    into the blue stack (a cyan node).  Returns (path seed..last, target)."""
+    into the blue stack (a cyan node).  Returns (path seed..last, target).
+    Every node reachable from the seed is colored, and the seed is still
+    cyan, so a red path back to it closes the cycle."""
     stack = [(seed, iter(successors(seed)))]
-    red.add(seed)
     while stack:
         for child in stack[-1][1]:
-            if colors.get(child) == _CYAN:
+            color = colors[child]
+            if color == _CYAN:
                 return [frame[0] for frame in stack], child
-            if child not in red:
-                red.add(child)
+            if color == _BLUE:
+                colors[child] = _RED
                 stack.append((child, iter(successors(child))))
                 break
         else:

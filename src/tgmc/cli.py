@@ -19,9 +19,9 @@ from .checker import DEFAULT_MAX_PRODUCT_STATES, check_spec
 from .cfa import enumerate_paths
 from .core import ModelError, check_resilience
 from .dsl import parse_params_binding
-from .harness import (BUILTIN_NAMES, RunRecord, render_state, render_trace,
-                      resolve_model, run_manifest, summarize, verify_trace,
-                      write_records_csv)
+from .harness import (BUILTIN_NAMES, RunRecord, read_text, render_state,
+                      render_trace, resolve_model, run_manifest, summarize,
+                      verify_trace, write_records_csv)
 from .ltl import render_formula
 
 EXIT_OK, EXIT_VIOLATED, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
@@ -122,9 +122,7 @@ def _cmd_check(args) -> int:
     model = resolve_model(args.model)
 
     if args.verify_trace:
-        with open(args.verify_trace, encoding="utf-8") as fh:
-            text = fh.read()
-        problems = verify_trace(text, model)
+        problems = verify_trace(read_text(args.verify_trace, "trace"), model)
         if problems:
             for problem in problems:
                 print(f"trace invalid: {problem}", file=sys.stderr)

@@ -1,19 +1,24 @@
 """Builtin models, single-case running, manifest-driven verdict tables, and
 counterexample trace rendering/verification.
 
-A manifest is a CSV with columns ``model,params,spec,expected,tier``:
-``expected`` ∈ {holds, violated, skip} and ``tier`` ∈ {required, extended,
-skip, unmodeled}.  Rows whose expected verdict or tier says skip/unmodeled are
-echoed in the output without being run.  Result CSVs append the columns
+A manifest is a CSV: the header ``model,params,spec,expected,tier``, then
+non-blank rows of exactly five non-empty cells, with ``expected`` ∈ {holds,
+violated, skip} and ``tier`` ∈ {required, extended, skip, unmodeled}.  Rows
+whose expected verdict or tier says skip/unmodeled are echoed in the output
+without being run.  Result CSVs append the columns
 ``verdict,match,states_stored,transitions,elapsed_ms`` (timing deliberately
-last, so two runs of one manifest differ at most in the final column).
+last, so two runs of one manifest differ at most in the final column).  A
+trace has the one grammar that ``render_trace`` writes (see the comment
+above it).  Both readers check each line or row where they read it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .checker import (DEFAULT_MAX_PRODUCT_STATES, Lasso, check_spec,
@@ -30,20 +35,25 @@ MANIFEST_COLUMNS = ("model", "params", "spec", "expected", "tier")
 RESULT_COLUMNS = MANIFEST_COLUMNS + ("verdict", "match", "states_stored",
                                      "transitions", "elapsed_ms")
 
-_builtin_cache: dict[str, ModelDef] = {}
 
-
+@functools.cache
 def load_builtin(name: str) -> ModelDef:
     """The four models shipped with the package, parsed once and cached."""
     if name not in BUILTIN_NAMES:
         raise ModelError(f"unknown builtin model {name!r} "
                          f"(available: {', '.join(BUILTIN_NAMES)})")
-    model = _builtin_cache.get(name)
-    if model is None:
-        path = resources.files("tgmc") / "models" / f"{name}.tg"
-        model = parse_model(path.read_text(encoding="utf-8"))
-        _builtin_cache[name] = model
-    return model
+    path = resources.files("tgmc") / "models" / f"{name}.tg"
+    return parse_model(path.read_text(encoding="utf-8"))
+
+
+def read_text(path: str, kind: str) -> str:
+    """A UTF-8 text file's contents; a file that cannot be opened or decoded
+    is a ModelError naming the ``kind`` of file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise ModelError(f"cannot read {kind} {path!r}: {exc}") from None
 
 
 def resolve_model(ref: str) -> ModelDef:
@@ -52,12 +62,7 @@ def resolve_model(ref: str) -> ModelDef:
         return load_builtin(ref[len("builtin:"):])
     if ref in BUILTIN_NAMES:
         return load_builtin(ref)
-    try:
-        with open(ref, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ModelError(f"cannot read model {ref!r}: {exc}") from None
-    return parse_model(text)
+    return parse_model(read_text(ref, "model"))
 
 
 # ---------------------------------------------------------------------------
@@ -111,46 +116,36 @@ def run_case(case: CaseSpec, *, symmetry: bool = True,
 # Manifests.
 
 def read_manifest(path: str) -> list[CaseSpec]:
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                return []
-            header = [name.strip() for name in reader.fieldnames]
-            if header != list(MANIFEST_COLUMNS):
-                raise ModelError(
-                    f"manifest {path}: header must be "
-                    f"{','.join(MANIFEST_COLUMNS)}, got {','.join(header)}")
-            cases = []
-            for row_no, row in enumerate(reader, start=2):
-                cases.append(_parse_manifest_row(path, row_no, row))
-    except OSError as exc:
-        raise ModelError(f"cannot read manifest {path!r}: {exc}") from None
-    return cases
+    """The cases of a manifest: its header, then rows of five cells (blank
+    rows are skipped)."""
+    rows = [row for row in csv.reader(io.StringIO(read_text(path, "manifest")))
+            if row]
+    if not rows:
+        return []
+    header = [name.strip() for name in rows[0]]
+    if header != list(MANIFEST_COLUMNS):
+        raise ModelError(f"manifest {path}: header must be "
+                         f"{','.join(MANIFEST_COLUMNS)}, got {','.join(header)}")
+    return [_parse_manifest_row(f"manifest {path} row {row_no}", row)
+            for row_no, row in enumerate(rows[1:], start=2)]
 
 
-def _parse_manifest_row(path: str, row_no: int, row: dict) -> CaseSpec:
-    def cell(column: str) -> str:
-        value = (row.get(column) or "").strip()
+def _parse_manifest_row(where: str, row: list[str]) -> CaseSpec:
+    if len(row) != len(MANIFEST_COLUMNS):
+        raise ModelError(f"{where}: {len(row)} cells, "
+                         f"expected {len(MANIFEST_COLUMNS)}")
+    cells = [cell.strip() for cell in row]
+    for column, value in zip(MANIFEST_COLUMNS, cells):
         if not value:
-            raise ModelError(f"manifest {path} row {row_no}: empty {column!r}")
-        return value
-
-    expected = cell("expected")
-    if expected not in EXPECTED_VALUES:
-        raise ModelError(f"manifest {path} row {row_no}: expected must be one "
-                         f"of {', '.join(EXPECTED_VALUES)}, got {expected!r}")
-    tier = cell("tier")
-    if tier not in TIER_VALUES:
-        raise ModelError(f"manifest {path} row {row_no}: tier must be one of "
-                         f"{', '.join(TIER_VALUES)}, got {tier!r}")
-    return CaseSpec(model=cell("model"), params=cell("params"),
-                    spec=cell("spec"), expected=expected, tier=tier)
-
-
-def _run_case_packed(args) -> RunRecord:
-    case, symmetry, max_states = args
-    return run_case(case, symmetry=symmetry, max_states=max_states)
+            raise ModelError(f"{where}: empty {column!r}")
+    case = CaseSpec(*cells)
+    if case.expected not in EXPECTED_VALUES:
+        raise ModelError(f"{where}: expected must be one of "
+                         f"{', '.join(EXPECTED_VALUES)}, got {case.expected!r}")
+    if case.tier not in TIER_VALUES:
+        raise ModelError(f"{where}: tier must be one of "
+                         f"{', '.join(TIER_VALUES)}, got {case.tier!r}")
+    return case
 
 
 def run_manifest(path: str, jobs: int = 1,
@@ -159,16 +154,16 @@ def run_manifest(path: str, jobs: int = 1,
     """Run every case of a manifest in up to ``jobs`` worker processes (no
     more than there are cases); results come back in manifest order."""
     cases = read_manifest(path)
-    work = [(case, symmetry, max_states) for case in cases]
-    workers = min(jobs, len(work))
+    run = functools.partial(run_case, symmetry=symmetry, max_states=max_states)
+    workers = min(jobs, len(cases))
     if workers > 1:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
             ctx = multiprocessing.get_context()
         with ctx.Pool(processes=workers) as pool:
-            return pool.map(_run_case_packed, work)
-    return [_run_case_packed(item) for item in work]
+            return pool.map(run, cases)
+    return [run(case) for case in cases]
 
 
 def write_records_csv(records: list[RunRecord], fh) -> None:
@@ -206,7 +201,9 @@ def summarize(records: list[RunRecord]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Trace rendering and verification.
+# Trace rendering and verification.  A trace is the magic line, the
+# TRACE_HEADERS once each, then `prefix:` and `cycle:` once each and in that
+# order, each followed by its indented state lines, numbered from 0:
 #
 # tgmc-trace 1
 # model: byz
@@ -219,10 +216,11 @@ def summarize(records: list[RunRecord]) -> str:
 # cycle:
 #   1: nsnt=1 | V0(rcvd=0) SE(rcvd=0) | some(rcvd < nsnt)
 #
-# Every rendered trace re-parses (verify_trace), and verification replays the
-# lasso against a freshly built instance.
+# parse_trace reads exactly that shape and reports each problem at its line;
+# verify_trace replays the lasso against a freshly built instance.
 
 TRACE_MAGIC = "tgmc-trace 1"
+TRACE_HEADERS = ("model", "params", "spec", "fairness", "symmetry")
 
 
 def render_state(state: EngineState, model: ModelDef) -> str:
@@ -244,12 +242,11 @@ def render_state(state: EngineState, model: ModelDef) -> str:
 def render_trace(lasso: Lasso, model: ModelDef, *, env: ParamEnv,
                  spec_name: str, fairness: bool = True,
                  symmetry: bool = True) -> str:
-    lines = [TRACE_MAGIC, f"model: {model.name}",
-             "params: " + ", ".join(f"{name}={env[name]}"
-                                    for name in model.params),
-             f"spec: {spec_name}",
-             f"fairness: {'on' if fairness else 'off'}",
-             f"symmetry: {'on' if symmetry else 'off'}"]
+    values = (model.name,
+              ", ".join(f"{name}={env[name]}" for name in model.params),
+              spec_name, "on" if fairness else "off", "on" if symmetry else "off")
+    lines = [TRACE_MAGIC]
+    lines += [f"{key}: {value}" for key, value in zip(TRACE_HEADERS, values)]
     position = 0
     for section, states in (("prefix", lasso.prefix), ("cycle", lasso.cycle)):
         lines.append(f"{section}:")
@@ -261,56 +258,58 @@ def render_trace(lasso: Lasso, model: ModelDef, *, env: ParamEnv,
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class TraceData:
-    model_name: str
-    params: str | None
-    spec: str | None
-    fairness: bool
-    symmetry: bool
-    prefix: list[EngineState] = field(default_factory=list)
-    cycle: list[EngineState] = field(default_factory=list)
-    ap_strings: list[set[str]] = field(default_factory=list)
+TraceStates = list[tuple[EngineState, set[str]]]
 
 
-def parse_trace(text: str, model: ModelDef) -> TraceData:
+def parse_trace(text: str, model: ModelDef
+                ) -> tuple[dict[str, str], TraceStates, TraceStates]:
+    """The headers, and the prefix and cycle as (state, rendered
+    propositions) pairs, of a trace written for ``model``."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != TRACE_MAGIC:
         raise ModelError(f"trace line 1: expected header {TRACE_MAGIC!r}")
-    data = TraceData(model_name="", params=None, spec=None,
-                     fairness=True, symmetry=True)
-    section: str | None = None
+    headers: dict[str, str] = {}
+    prefix: TraceStates = []
+    cycle: TraceStates = []
+    section: TraceStates | None = None
     for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.rstrip()
-        if not line.strip():
+        line = raw.strip()
+        if not line:
             continue
-        stripped = line.strip()
-        if section is None or not line.startswith("  "):
-            key, sep, value = stripped.partition(":")
-            if not sep:
-                raise ModelError(f"trace line {line_no}: expected 'key: value'")
-            key, value = key.strip(), value.strip()
-            if key == "model":
-                data.model_name = value
-            elif key == "params":
-                data.params = value
-            elif key == "spec":
-                data.spec = value
-            elif key in ("fairness", "symmetry"):
-                if value not in ("on", "off"):
-                    raise ModelError(f"trace line {line_no}: {key} must be "
-                                     f"'on' or 'off', got {value!r}")
-                setattr(data, key, value == "on")
-            elif key in ("prefix", "cycle"):
-                section = key
-            else:
-                raise ModelError(f"trace line {line_no}: unknown header {key!r}")
+        if section is not None and raw.startswith("  "):
+            section.append(_parse_state_line(line, model, line_no,
+                                             len(prefix) + len(cycle)))
             continue
-        position = len(data.prefix) + len(data.cycle)
-        state, aps = _parse_state_line(stripped, model, line_no, position)
-        getattr(data, section).append(state)
-        data.ap_strings.append(aps)
-    return data
+        key, sep, value = line.partition(":")
+        key, value = key.strip(), value.strip()
+        if section is None and line == "prefix:":
+            missing = [name for name in TRACE_HEADERS if name not in headers]
+            problem = f"missing header {missing[0]!r}" if missing else None
+            section = prefix
+        elif section is prefix and line == "cycle:":
+            problem, section = None, cycle
+        elif section is not None:
+            problem = (f"header {key!r} after the states"
+                       if key in TRACE_HEADERS else "expected 'cycle' section")
+        elif not sep:
+            problem = "expected 'key: value'"
+        elif key not in TRACE_HEADERS:
+            problem = f"unknown header {key!r}"
+        elif key in headers:
+            problem = f"duplicate header {key!r}"
+        elif key == "model" and value != model.name:
+            problem = f"trace is for model {value!r}, not {model.name!r}"
+        elif key in ("fairness", "symmetry") and value not in ("on", "off"):
+            problem = f"{key} must be 'on' or 'off', got {value!r}"
+        else:
+            problem = None
+            headers[key] = value
+        if problem:
+            raise ModelError(f"trace line {line_no}: {problem}")
+    if section is not cycle:
+        raise ModelError(f"trace line {len(lines)}: expected "
+                         f"{'prefix' if section is None else 'cycle'!r} section")
+    return headers, prefix, cycle
 
 
 def _parse_state_line(line: str, model: ModelDef, line_no: int,
@@ -332,16 +331,12 @@ def _parse_state_line(line: str, model: ModelDef, line_no: int,
             name, paren, inner = chunk.partition("(")
             if name not in model.statuses:
                 raise ModelError(f"trace line {line_no}: unknown status {name!r}")
-            status_idx = model.statuses.index(name)
-            if paren:
-                if not inner.endswith(")"):
-                    raise ModelError(f"trace line {line_no}: malformed process "
-                                     f"entry {chunk!r}")
-                local_values = _parse_assignments(
-                    inner[:-1].replace(",", " "), model.locals, line_no, "local")
-            else:
-                local_values = ()
-            procs.append((status_idx, local_values))
+            if paren and not inner.endswith(")"):
+                raise ModelError(f"trace line {line_no}: malformed process "
+                                 f"entry {chunk!r}")
+            local_values = _parse_assignments(
+                inner[:-1].replace(",", " "), model.locals, line_no, "local")
+            procs.append((model.statuses.index(name), local_values))
     aps = set()
     if ap_part.strip() != "-":
         aps = {piece.strip() for piece in ap_part.split(", ")}
@@ -366,34 +361,21 @@ def _parse_assignments(text: str, names: tuple[str, ...], line_no: int,
 def verify_trace(text: str, model: ModelDef) -> list[str]:
     """Re-parse a rendered trace and replay it from scratch; empty = valid."""
     try:
-        data = parse_trace(text, model)
+        headers, prefix, cycle = parse_trace(text, model)
+        env = parse_params_binding(headers["params"], model)
+        negated = negate_to_nnf(combined_formula(
+            model, headers["spec"], headers["fairness"] == "on"))
+        inst = Instance(model, env, symmetry=headers["symmetry"] == "on")
+        ap_by_render = {ap.render(): ap for ap in formula_aps(negated)}
+        ap_truth = []
+        for i, (_, rendered) in enumerate(prefix + cycle):
+            unknown = sorted(rendered - ap_by_render.keys())
+            if unknown:
+                raise ModelError(f"state {i}: unknown propositions "
+                                 + ", ".join(unknown))
+            ap_truth.append(frozenset(ap_by_render[s] for s in rendered))
+        lasso = Lasso([state for state, _ in prefix],
+                      [state for state, _ in cycle], ap_truth)
+        return replay_lasso(inst, lasso, negated)
     except ModelError as exc:
         return [str(exc)]
-    problems = []
-    if data.model_name != model.name:
-        problems.append(f"trace is for model {data.model_name!r}, "
-                        f"not {model.name!r}")
-    if data.params is None:
-        problems.append("trace lacks a params header; cannot rebuild instance")
-    if data.spec is None:
-        problems.append("trace lacks a spec header; cannot rebuild formula")
-    if problems:
-        return problems
-    try:
-        env = parse_params_binding(data.params, model)
-        target = combined_formula(model, data.spec, data.fairness)
-        negated = negate_to_nnf(target)
-        inst = Instance(model, env, symmetry=data.symmetry)
-    except ModelError as exc:
-        return [str(exc)]
-    ap_by_render = {ap.render(): ap for ap in formula_aps(negated)}
-    ap_truth = []
-    for i, rendered in enumerate(data.ap_strings):
-        unknown = sorted(rendered - ap_by_render.keys())
-        if unknown:
-            problems.append(f"state {i}: unknown propositions "
-                            + ", ".join(unknown))
-            return problems
-        ap_truth.append(frozenset(ap_by_render[s] for s in rendered))
-    lasso = Lasso(data.prefix, data.cycle, ap_truth)
-    return replay_lasso(inst, lasso, negated)

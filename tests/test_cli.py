@@ -88,6 +88,36 @@ def test_check_trace_file_and_verification(capsys, tmp_path):
     assert err.strip()
 
 
+def test_verify_trace_bare_status_is_invalid(capsys, tmp_path):
+    trace = tmp_path / "run.trace"
+    run_cli(capsys, "check", "--model", "builtin:clean", "--params", "n=3,t=3",
+            "--spec", "unforg", "--trace", str(trace))
+    lines = trace.read_text().splitlines()
+    lines[7] = lines[7].replace("V0(rcvd=0)", "V0", 1)
+    trace.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "check", "--model", "builtin:clean",
+                             "--verify-trace", str(trace))
+    assert code == 1
+    assert err == ("trace invalid: trace line 8: local variables must be "
+                   "exactly rcvd in order\n")
+
+
+@pytest.mark.parametrize("kind,argv", [
+    ("trace", ["check", "--model", "builtin:clean", "--verify-trace", "{path}"]),
+    ("manifest", ["bench", "--manifest", "{path}"]),
+    ("model", ["paths", "--model", "{path}"]),
+    ("model", ["check", "--model", "{path}", "--params", "n=3,t=1",
+               "--spec", "unforg"]),
+])
+def test_non_utf8_files_are_usage_errors(capsys, tmp_path, kind, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"tgmc-trace 1\nmodel: caf\xe9 \xff\n")
+    code, out, err = run_cli(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {kind} {str(path)!r}: ")
+
+
 def test_check_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", "--model", "builtin:byz")
     assert code == 2
@@ -171,6 +201,14 @@ def test_bench_bad_manifest(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "bench", "--manifest", str(manifest))
     assert code == 2
     assert "error:" in err
+
+    # A row with a sixth cell is refused, not run with that cell dropped.
+    manifest.write_text("model,params,spec,expected,tier\n"
+                        'clean,"n=3,t=1",unforg,holds,required,extra\n')
+    code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: manifest {manifest} row 2: 6 cells, expected 5\n"
 
     # An --out path that cannot be opened fails before any check runs.
     manifest.write_text("model,params,spec,expected,tier\n"

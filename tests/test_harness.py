@@ -2,12 +2,13 @@
 
 import io
 import re
+from importlib import resources
 
 import pytest
 
 from tgmc.cli import exit_code_for
 from tgmc.core import ModelError
-from tgmc.dsl import format_model
+from tgmc.dsl import format_model, parse_params_binding
 from tgmc.harness import (BUILTIN_NAMES, CaseSpec, RunRecord,
                           load_builtin, parse_trace, read_manifest,
                           render_state, render_trace, resolve_model, run_case,
@@ -94,6 +95,12 @@ def test_read_manifest_validation(tmp_path):
     cases = read_manifest(path)
     assert cases == [GOOD_CASE]
 
+    # Blank rows are skipped, and do not count.
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\nmodel,params,spec,expected,tier\n\n"
+                      'byz,"n=4,t=1,f=1",unforg,holds,required\n\n')
+    assert read_manifest(str(spaced)) == [GOOD_CASE]
+
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert read_manifest(str(empty)) == []
@@ -105,11 +112,15 @@ def test_read_manifest_validation(tmp_path):
 
     for bad_row in (("", "n=4,t=1,f=1", "unforg", "holds", "required"),
                     ("byz", "n=4,t=1,f=1", "unforg", "maybe", "required"),
-                    ("byz", "n=4,t=1,f=1", "unforg", "holds", "golden")):
+                    ("byz", "n=4,t=1,f=1", "unforg", "holds", "golden"),
+                    ("byz", "n=4,t=1,f=1", "unforg", "holds", "required", ""),
+                    ("byz", "n=4,t=1,f=1", "unforg", "holds")):
         path = manifest_file(tmp_path, [bad_row])
         with pytest.raises(ModelError) as err:
             read_manifest(path)
         assert "row 2" in str(err.value)
+        if len(bad_row) != 5:
+            assert str(err.value).endswith(f"{len(bad_row)} cells, expected 5")
 
     with pytest.raises(ModelError):
         read_manifest(str(tmp_path / "nowhere.csv"))
@@ -211,14 +222,11 @@ def test_trace_round_trip_and_verification():
                         fairness=False, symmetry=True)
     assert text.startswith(TRACE_MAGIC)
 
-    data = parse_trace(text, model)
-    assert data.model_name == "clean"
-    assert data.spec == "unforg"
-    assert data.fairness is False
-    assert data.symmetry is True
-    assert data.params == "n=3, t=3"
-    assert data.prefix == lasso.prefix
-    assert data.cycle == lasso.cycle
+    headers, prefix, cycle = parse_trace(text, model)
+    assert headers == {"model": "clean", "params": "n=3, t=3",
+                       "spec": "unforg", "fairness": "off", "symmetry": "on"}
+    assert [state for state, _ in prefix] == lasso.prefix
+    assert [state for state, _ in cycle] == lasso.cycle
 
     assert verify_trace(text, model) == []
 
@@ -290,3 +298,97 @@ def test_trace_positions_are_checked(head):
     lines[line_no - 1] = lines[line_no - 1].replace("  1:", f"  {head}:", 1)
     assert verify_trace("\n".join(lines) + "\n", model) == \
         [f"trace line {line_no}: expected position 1"]
+
+
+def _relay_trace():
+    model = load_builtin("byz")
+    env = {"n": 7, "t": 1, "f": 2}
+    verdict = check_spec(model, env, "relay")
+    assert verdict.status == "violated"
+    return model, render_trace(verdict.counterexample, model, env=env,
+                               spec_name="relay").splitlines()
+
+
+def _edited(lines, at, new=None, *, insert=False):
+    """The trace with line ``at`` (counted from 1) replaced or removed, or
+    with ``new`` inserted before it."""
+    lines = list(lines)
+    if insert:
+        lines.insert(at - 1, new)
+    elif new is None:
+        del lines[at - 1]
+    else:
+        lines[at - 1] = new
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_sections_come_once_and_in_order():
+    model, lines = _relay_trace()
+    assert verify_trace("\n".join(lines) + "\n", model) == []
+    cycle_at = lines.index("cycle:") + 1
+    # A second prefix after the first cycle state would move the rest of
+    # the cycle into it.
+    assert verify_trace(_edited(lines, cycle_at + 2, "prefix:", insert=True),
+                        model) == \
+        [f"trace line {cycle_at + 2}: expected 'cycle' section"]
+    assert verify_trace(_edited(lines, cycle_at, "prefix:"), model) == \
+        [f"trace line {cycle_at}: expected 'cycle' section"]
+    # A trace cut before its cycle is incomplete, not a shorter lasso.
+    cut = "\n".join(lines[:cycle_at - 1]) + "\n"
+    assert verify_trace(cut, model) == \
+        [f"trace line {cycle_at - 1}: expected 'cycle' section"]
+    assert verify_trace("\n".join(lines[:6]) + "\n", model) == \
+        ["trace line 6: expected 'prefix' section"]
+
+
+def test_trace_headers_come_once_each():
+    model, lines = _relay_trace()
+    assert lines[1:7] == ["model: byz", "params: n=7, t=1, f=2", "spec: relay",
+                          "fairness: on", "symmetry: on", "prefix:"]
+    cases = [
+        (_edited(lines, 5, "spec: unforg", insert=True),
+         "trace line 5: duplicate header 'spec'"),
+        (_edited(lines, 6), "trace line 6: missing header 'symmetry'"),
+        (_edited(lines, 2), "trace line 6: missing header 'model'"),
+        (_edited(lines, 9, "spec: unforg", insert=True),
+         "trace line 9: header 'spec' after the states"),
+        (_edited(lines, 3, "seed: 7", insert=True),
+         "trace line 3: unknown header 'seed'"),
+        (_edited(lines, 3, "params n=7"),
+         "trace line 3: expected 'key: value'"),
+    ]
+    for text, problem in cases:
+        assert verify_trace(text, model) == [problem]
+    # The model header is checked where it is written.
+    assert verify_trace("\n".join(lines) + "\n", load_builtin("omit")) == \
+        ["trace line 2: trace is for model 'byz', not 'omit'"]
+
+
+def _violated_checks():
+    """Every distinct violated check of the shipped tables, with symmetry,
+    and the table1 rows of omit, symm and clean also without it."""
+    checks = {}
+    for table in ("table1.csv", "appendix_required.csv",
+                  "appendix_extended.csv"):
+        path = str(resources.files("tgmc") / "tables" / table)
+        for case in read_manifest(path):
+            if case.expected != "violated" or \
+                    case.tier not in ("required", "extended"):
+                continue
+            symmetries = (True, False) if (table == "table1.csv" and
+                                           case.model != "byz") else (True,)
+            for symmetry in symmetries:
+                checks[case.model, case.params, case.spec, symmetry] = None
+    return list(checks)
+
+
+@pytest.mark.parametrize("model_name,params,spec,symmetry", _violated_checks())
+def test_every_table_counterexample_verifies(model_name, params, spec,
+                                             symmetry):
+    model = load_builtin(model_name)
+    env = parse_params_binding(params, model)
+    verdict = check_spec(model, env, spec, symmetry=symmetry)
+    assert verdict.status == "violated"
+    text = render_trace(verdict.counterexample, model, env=env,
+                        spec_name=spec, symmetry=symmetry)
+    assert verify_trace(text, model) == []

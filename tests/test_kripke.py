@@ -198,8 +198,9 @@ def test_unknown_names_raise():
     with pytest.raises(ModelError):
         inst.compile_ap(LessProp("zz", LinearForm(), "nsnt"))
     # Named states enter the engine only through trace parsing.
-    with pytest.raises(ModelError):
-        parse_trace(f"{TRACE_MAGIC}\nmodel: byz\nprefix:\n"
+    with pytest.raises(ModelError, match="unknown status 'ZZ'"):
+        parse_trace(f"{TRACE_MAGIC}\nmodel: byz\nparams: n=1, t=0, f=0\n"
+                    "spec: relay\nfairness: on\nsymmetry: on\nprefix:\n"
                     "  0: nsnt=0 | ZZ(rcvd=0) | -\n", load_builtin("byz"))
 
 

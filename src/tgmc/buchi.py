@@ -1,6 +1,9 @@
 """Formula → Büchi automaton via the classic tableau (node-splitting)
-construction, with one acceptance obligation per Until/Future subformula,
-degeneralized by a counter.
+construction of Gerth, Peled, Vardi and Wolper, with one acceptance
+obligation per Until/Future subformula, degeneralized by a counter.
+
+Each operator's expansion law is one row of the rule table ``_RULES``: the
+branches a tableau node splits into when it takes up a formula of that kind.
 
 Automaton states carry conjunctive literal labels, as bitmasks over the
 formula's atomic propositions: a state may be visited at a word position only
@@ -17,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ModelError
 from .ltl import (And, AtomicProp, Formula, Future, Globally, Literal, Or,
-                  Release, Until, formula_aps)
+                  Release, Until, children, formula_aps, subformulas)
 
 
 @dataclass
@@ -39,40 +41,31 @@ class BuchiAutomaton:
         return len(self.succ)
 
 
-class _Interner:
-    """Formula ↔ integer ids, assigned in deterministic traversal order."""
-
-    def __init__(self) -> None:
-        self.formulas: list[Formula] = []
-        self.ids: dict[Formula, int] = {}
-
-    def intern(self, f: Formula) -> int:
-        found = self.ids.get(f)
-        if found is not None:
-            return found
-        # Children first so subformulas always have ids available.
-        if isinstance(f, (And, Or)):
-            for child in f.items:
-                self.intern(child)
-        elif isinstance(f, (Future, Globally)):
-            self.intern(f.arg)
-        elif isinstance(f, (Until, Release)):
-            self.intern(f.lhs)
-            self.intern(f.rhs)
-        elif not isinstance(f, Literal):
-            raise ModelError(f"unknown formula node {f!r}")
-        idx = len(self.formulas)
-        self.formulas.append(f)
-        self.ids[f] = idx
-        return idx
+# The tableau rules: the branches a node splits into when it takes up a
+# formula, in the order they are explored, each as the subformulas it must
+# hold now and those it must hold from the next position on.  A literal
+# that contradicts one already taken up drops the node instead.
+_RULES = {
+    Literal: lambda f: [((), ())],
+    And: lambda f: [(f.items, ())],
+    Or: lambda f: [((item,), ()) for item in f.items],
+    Future: lambda f: [((), (f,)), ((f.arg,), ())],
+    Globally: lambda f: [((f.arg,), (f,))],
+    Until: lambda f: [((f.lhs,), (f,)), ((f.rhs,), ())],
+    Release: lambda f: [((f.rhs,), (f,)), ((f.lhs, f.rhs), ())],
+}
 
 
 def build_buchi(nnf: Formula) -> BuchiAutomaton:
     """Automaton accepting exactly the infinite words satisfying ``nnf``
     (a formula in negation normal form)."""
-    interner = _Interner()
-    root = interner.intern(nnf)
-    formulas = interner.formulas
+    formulas = subformulas(nnf)             # ids: children before parents
+    ids = {f: idx for idx, f in enumerate(formulas)}
+    # Per formula id, its rule's branches as sets of ids, in push order:
+    # the reverse of the order in which they are explored.
+    branches = [[({ids[g] for g in now}, {ids[g] for g in later})
+                 for now, later in reversed(_RULES[type(f)](f))]
+                for f in formulas]
 
     # Tableau nodes: incoming node ids (-1 = virtual initial), processed set
     # `old`, obligations `next`.  A node is identified by (old, next).
@@ -82,7 +75,7 @@ def build_buchi(nnf: Formula) -> BuchiAutomaton:
 
     # Work items: (incoming, new, old, next) with mutable sets.
     pending: list[tuple[set[int], set[int], set[int], set[int]]] = [
-        ({-1}, {root}, set(), set())]
+        ({-1}, {ids[nnf]}, set(), set())]
 
     while pending:
         incoming, new, old, nxt = pending.pop()
@@ -101,87 +94,41 @@ def build_buchi(nnf: Formula) -> BuchiAutomaton:
         eta = min(new)
         new.discard(eta)
         f = formulas[eta]
-        if isinstance(f, Literal):
-            contradiction = any(
-                isinstance(formulas[z], Literal)
-                and formulas[z].ap == f.ap
-                and formulas[z].negated != f.negated
-                for z in old)
-            if contradiction:
-                continue
-            old.add(eta)
-            pending.append((incoming, new, old, nxt))
-        elif isinstance(f, And):
-            old.add(eta)
-            new |= {interner.intern(c) for c in f.items} - old
-            pending.append((incoming, new, old, nxt))
-        elif isinstance(f, Or):
-            # One branch per disjunct (the empty disjunction drops the node).
-            for child in reversed(f.items):
-                pending.append((set(incoming),
-                                new | ({interner.intern(child)} - old),
-                                old | {eta}, set(nxt)))
-        elif isinstance(f, Until):
-            lhs, rhs = interner.intern(f.lhs), interner.intern(f.rhs)
-            pending.append((set(incoming), new | ({rhs} - old),
-                            old | {eta}, set(nxt)))
-            pending.append((set(incoming), new | ({lhs} - old),
-                            old | {eta}, nxt | {eta}))
-        elif isinstance(f, Release):
-            lhs, rhs = interner.intern(f.lhs), interner.intern(f.rhs)
-            pending.append((set(incoming), new | ({lhs, rhs} - old),
-                            old | {eta}, set(nxt)))
-            pending.append((set(incoming), new | ({rhs} - old),
-                            old | {eta}, nxt | {eta}))
-        elif isinstance(f, Future):
-            arg = interner.intern(f.arg)
-            pending.append((set(incoming), new | ({arg} - old),
-                            old | {eta}, set(nxt)))
-            pending.append((set(incoming), set(new), old | {eta}, nxt | {eta}))
-        elif isinstance(f, Globally):
-            arg = interner.intern(f.arg)
-            pending.append((incoming, new | ({arg} - old),
-                            old | {eta}, nxt | {eta}))
-        else:
-            raise ModelError(f"unknown formula node {f!r}")
+        if isinstance(f, Literal) and ids.get(Literal(f.ap, not f.negated)) in old:
+            continue
+        for now, later in branches[eta]:
+            pending.append((set(incoming), new | (now - old), old | {eta},
+                            nxt | later))
 
-    n_nodes = len(node_old)
-    gba_succ: list[list[int]] = [[] for _ in range(n_nodes)]
-    gba_initial: list[int] = []
-    for target in range(n_nodes):
-        for source in sorted(node_incoming[target]):
-            if source == -1:
-                gba_initial.append(target)
-            else:
-                gba_succ[source].append(target)
+    # Successor lists per node, plus a last one, at index -1, that lists
+    # the initial nodes as the successors of the virtual initial node.
+    gba_succ: list[list[int]] = [[] for _ in range(len(node_old) + 1)]
+    for target, sources in enumerate(node_incoming):
+        for source in sorted(sources):
+            gba_succ[source].append(target)
 
     # Acceptance obligations, one per Until/Future subformula (id order):
     # a node satisfies obligation θ=aUb/Fb unless it promises θ without
     # having discharged b.
-    obligations = [idx for idx, f in enumerate(formulas)
-                   if isinstance(f, (Until, Future))]
     acc_sets: list[frozenset[int]] = []
-    for theta in obligations:
-        f = formulas[theta]
-        rhs = interner.ids[f.rhs if isinstance(f, Until) else f.arg]
-        acc_sets.append(frozenset(
-            node for node in range(n_nodes)
-            if theta not in node_old[node] or rhs in node_old[node]))
+    for theta, f in enumerate(formulas):
+        if isinstance(f, (Until, Future)):
+            rhs = ids[children(f)[-1]]
+            acc_sets.append(frozenset(node for node, old in enumerate(node_old)
+                                      if theta not in old or rhs in old))
 
-    # Literal labels per node, as bitmasks over aps (bit i is aps[i]).
+    # Literal labels per node, as (need_true, need_false) bitmasks over aps
+    # (bit i is aps[i]).
     aps = formula_aps(nnf)
     ap_bit = {ap: 1 << i for i, ap in enumerate(aps)}
     gba_labels: list[tuple[int, int]] = []
-    for node in range(n_nodes):
-        need_true = need_false = 0
-        for fid in node_old[node]:
+    for old in node_old:
+        need = [0, 0]
+        for fid in old:
             f = formulas[fid]
             if isinstance(f, Literal):
-                if f.negated:
-                    need_false |= ap_bit[f.ap]
-                else:
-                    need_true |= ap_bit[f.ap]
-        gba_labels.append((need_true, need_false))
+                need[f.negated] |= ap_bit[f.ap]
+        gba_labels.append((need[0], need[1]))
 
     # Counter degeneralisation: pair each node with the index of the
     # obligation it awaits; level k (all seen since the last reset) accepts,
@@ -195,7 +142,7 @@ def build_buchi(nnf: Formula) -> BuchiAutomaton:
     rows: list[tuple[int, ...]] = []
     for q, level in order:
         row = []
-        for q2 in gba_succ[q] if q >= 0 else gba_initial:
+        for q2 in gba_succ[q]:
             j = 0 if level == k else level
             while j < k and q2 in acc_sets[j]:
                 j += 1

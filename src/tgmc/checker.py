@@ -24,8 +24,8 @@ from .cfa import step_successors
 from .core import ModelError, ParamEnv, Valuation, eval_linear_form
 from .dsl import ModelDef
 from .kripke import EngineState, Instance
-from .ltl import (AtomicProp, Formula, Or, StatusProp, eval_formula_on_lasso,
-                  formula_aps, negate_to_nnf)
+from .ltl import (AtomicProp, Formula, StatusProp, disjoin,
+                  eval_formula_on_lasso, formula_aps, negate_to_nnf)
 
 DEFAULT_MAX_PRODUCT_STATES = 50_000_000
 
@@ -348,10 +348,7 @@ def combined_formula(model: ModelDef, spec_name: str, fairness: bool) -> Formula
     spec = model.spec(spec_name)
     if not fairness or spec.unless is None:
         return spec.formula
-    unfair = model.unfairness_formula(spec.unless)
-    left = spec.formula.items if isinstance(spec.formula, Or) else (spec.formula,)
-    right = unfair.items if isinstance(unfair, Or) else (unfair,)
-    return Or(left + right)
+    return disjoin(spec.formula, model.unfairness_formula(spec.unless))
 
 
 @functools.lru_cache(maxsize=1)

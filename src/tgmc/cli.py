@@ -71,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--model", required=True,
                        help="model file path or builtin:NAME "
                             f"(builtins: {', '.join(BUILTIN_NAMES)})")
-    check.add_argument("--params", help='parameter binding, e.g. "n=7,t=2,f=2"')
+    check.add_argument("--params", help='parameter binding, e.g. "n=7,t=2,f=2" '
+                                        "(omit for a model without parameters)")
     check.add_argument("--spec", help="spec name declared in the model")
     check.add_argument("--no-fairness", action="store_true",
                        help="ignore the spec's `unless` clause")
@@ -131,10 +132,10 @@ def _cmd_check(args) -> int:
             print("trace valid: replays and witnesses the violation")
         return EXIT_OK
 
-    if not args.params or not args.spec:
-        raise ModelError("check requires --params and --spec "
-                         "(unless --verify-trace is given)")
-    env = parse_params_binding(args.params, model)
+    if not args.spec:
+        raise ModelError("check requires --spec (unless --verify-trace is given)")
+    params = args.params or ""
+    env = parse_params_binding(params, model)
     if not check_resilience(model.resilience, env):
         print(f"note: parameters violate the resilience condition "
               f"({model.resilience.render()}); checking anyway",
@@ -158,7 +159,7 @@ def _cmd_check(args) -> int:
         if args.format == "json":
             record = {
                 "model": model.name,
-                "params": args.params,
+                "params": params,
                 "spec": args.spec,
                 "fairness": fairness,
                 "symmetry": symmetry,
@@ -177,7 +178,7 @@ def _cmd_check(args) -> int:
                 }
             print(json.dumps(record, indent=2))
         else:
-            print(f"model {model.name}  spec {args.spec}  params {args.params}  "
+            print(f"model {model.name}  spec {args.spec}  params {params}  "
                   f"fairness {'on' if fairness else 'off'}  "
                   f"symmetry {'on' if symmetry else 'off'}")
             print(f"checked: {render_formula(verdict.formula)}")

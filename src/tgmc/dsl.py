@@ -44,7 +44,7 @@ from .cfa import (EPS, Cfa, Edge, Guard, GuardAnd, GuardExpr, GuardNot, Inc, Op,
 from .core import (Comparison, LinearForm, ModelError, ParamEnv,
                    ResilienceCondition, normalize_coeffs, parse_int)
 from .ltl import (And, Formula, Future, Globally, LessProp, Literal, Or,
-                  StatusProp, Until, formula_aps, render_formula)
+                  StatusProp, Until, disjoin, formula_aps, render_formula)
 
 RESERVED_NAMES = {
     "model", "param", "resilience", "size", "status", "init", "local", "shared",
@@ -370,10 +370,7 @@ class _Parser:
             self.fail("the premise of '->' must be a literal "
                       "(richer premises are not part of the language)", start)
         rhs = self.parse_implies()
-        negated = Literal(lhs.ap, not lhs.negated)
-        if isinstance(rhs, Or):
-            return Or((negated,) + rhs.items)
-        return Or((negated, rhs))
+        return disjoin(Literal(lhs.ap, not lhs.negated), rhs)
 
     def parse_or(self) -> Formula:
         items = [self.parse_and()]
@@ -666,7 +663,9 @@ def parse_params_binding(text: str, model: ModelDef) -> ParamEnv:
 
 
 def format_model(model: ModelDef) -> str:
-    """Canonical source text; parse_model(format_model(m)) is structurally m."""
+    """Canonical source text; parse_model(format_model(m)) == m.  Formulas
+    keep their grouping: render_formula parenthesises every operand that
+    binds no tighter than its operator."""
     lines: list[str] = [f"model {model.name};", ""]
     if model.params:
         lines.append(f"param {', '.join(model.params)};")

@@ -44,52 +44,32 @@ AtomicProp = StatusProp | LessProp
 
 
 # ---------------------------------------------------------------------------
-# Formula tree.  Negation appears only on literals; Release is produced by
-# negation and never written by users.
+# Formula tree.  Negation appears only on literals.
 
 @dataclass(frozen=True)
 class Literal:
     ap: AtomicProp
     negated: bool = False
 
-    def render(self) -> str:
-        return f"!{self.ap.render()}" if self.negated else self.ap.render()
-
 
 @dataclass(frozen=True)
 class And:
     items: tuple["Formula", ...]
-
-    def render(self) -> str:
-        if not self.items:
-            return "true"
-        return " && ".join(_render_child(c, And) for c in self.items)
 
 
 @dataclass(frozen=True)
 class Or:
     items: tuple["Formula", ...]
 
-    def render(self) -> str:
-        if not self.items:
-            return "false"
-        return " || ".join(_render_child(c, Or) for c in self.items)
-
 
 @dataclass(frozen=True)
 class Future:
     arg: "Formula"
 
-    def render(self) -> str:
-        return f"F {_render_child(self.arg, Future)}"
-
 
 @dataclass(frozen=True)
 class Globally:
     arg: "Formula"
-
-    def render(self) -> str:
-        return f"G {_render_child(self.arg, Globally)}"
 
 
 @dataclass(frozen=True)
@@ -97,17 +77,11 @@ class Until:
     lhs: "Formula"
     rhs: "Formula"
 
-    def render(self) -> str:
-        return f"{_render_child(self.lhs, Until)} U {_render_child(self.rhs, Until)}"
-
 
 @dataclass(frozen=True)
 class Release:
     lhs: "Formula"
     rhs: "Formula"
-
-    def render(self) -> str:
-        return f"{_render_child(self.lhs, Release)} R {_render_child(self.rhs, Release)}"
 
 
 Formula = Literal | And | Or | Future | Globally | Until | Release
@@ -115,60 +89,86 @@ Formula = Literal | And | Or | Future | Globally | Until | Release
 TRUE = And(())
 FALSE = Or(())
 
-# Parenthesization for rendering: literals and unary-temporal bodies bind
-# tightest, then U/R, then &&, then ||.
-_PRECEDENCE = {Literal: 4, Future: 3, Globally: 3, Until: 2, Release: 2, And: 1, Or: 0}
+
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The direct subformulas of ``f``, left to right."""
+    if isinstance(f, Literal):
+        return ()
+    if isinstance(f, (And, Or)):
+        return f.items
+    if isinstance(f, (Future, Globally)):
+        return (f.arg,)
+    if isinstance(f, (Until, Release)):
+        return (f.lhs, f.rhs)
+    raise ModelError(f"unknown formula node {f!r}")
 
 
-def _render_child(child: "Formula", parent_kind: type) -> str:
-    text = child.render()
-    child_prec = _PRECEDENCE[type(child)]
-    parent_prec = _PRECEDENCE[parent_kind]
-    if child_prec < parent_prec or (child_prec == parent_prec == 2):
-        return f"({text})"
-    return text
+def subformulas(f: Formula) -> list[Formula]:
+    """The distinct subformulas of ``f`` in left-to-right post-order: each
+    comes after its children, and ``f`` itself comes last."""
+    order: dict[Formula, None] = {}
+
+    def walk(g: Formula) -> None:
+        if g not in order:
+            for child in children(g):
+                walk(child)
+            order[g] = None
+    walk(f)
+    return list(order)
 
 
-def render_formula(f: Formula) -> str:
-    return f.render()
+def disjoin(*formulas: Formula) -> Or:
+    """The disjunction of ``formulas``, splicing in the items of each Or."""
+    return Or(tuple(item for f in formulas
+                    for item in (f.items if isinstance(f, Or) else (f,))))
 
 
 def formula_aps(f: Formula) -> tuple[AtomicProp, ...]:
     """Atomic propositions in first-occurrence order (deterministic)."""
-    seen: dict[AtomicProp, None] = {}
+    return tuple(dict.fromkeys(g.ap for g in subformulas(f)
+                               if isinstance(g, Literal)))
 
-    def walk(g: Formula) -> None:
-        if isinstance(g, Literal):
-            seen.setdefault(g.ap, None)
-        elif isinstance(g, (And, Or)):
-            for item in g.items:
-                walk(item)
-        elif isinstance(g, (Future, Globally)):
-            walk(g.arg)
-        elif isinstance(g, (Until, Release)):
-            walk(g.lhs)
-            walk(g.rhs)
-    walk(f)
-    return tuple(seen)
+
+# Each operator's dual under negation; Release is produced by negation and
+# never written by users.
+_DUAL = {And: Or, Or: And, Future: Globally, Globally: Future,
+         Until: Release, Release: Until}
 
 
 def negate_to_nnf(f: Formula) -> Formula:
     """Negation normal form of ¬f (negations pushed onto literals)."""
     if isinstance(f, Literal):
         return Literal(f.ap, not f.negated)
-    if isinstance(f, And):
-        return Or(tuple(negate_to_nnf(c) for c in f.items))
-    if isinstance(f, Or):
-        return And(tuple(negate_to_nnf(c) for c in f.items))
-    if isinstance(f, Future):
-        return Globally(negate_to_nnf(f.arg))
-    if isinstance(f, Globally):
-        return Future(negate_to_nnf(f.arg))
-    if isinstance(f, Until):
-        return Release(negate_to_nnf(f.lhs), negate_to_nnf(f.rhs))
-    if isinstance(f, Release):
-        return Until(negate_to_nnf(f.lhs), negate_to_nnf(f.rhs))
-    raise ModelError(f"unknown formula node {f!r}")
+    negated = tuple(negate_to_nnf(child) for child in children(f))
+    dual = _DUAL[type(f)]
+    return dual(negated) if isinstance(f, (And, Or)) else dual(*negated)
+
+
+# Operator symbol and binding strength: literals bind tightest, then the
+# unary F and G, then U/R, then &&, then ||.
+_SYNTAX = {Future: ("F", 3), Globally: ("G", 3), Until: ("U", 2),
+           Release: ("R", 2), And: ("&&", 1), Or: ("||", 0)}
+
+
+def render_formula(f: Formula) -> str:
+    if isinstance(f, Literal):
+        return f"!{f.ap.render()}" if f.negated else f.ap.render()
+    operands = children(f)
+    if not operands:
+        return "true" if isinstance(f, And) else "false"
+    symbol, strength = _SYNTAX[type(f)]
+    if isinstance(f, (Future, Globally)):
+        return f"{symbol} {_operand(operands[0], strength - 1)}"
+    return f" {symbol} ".join(_operand(child, strength) for child in operands)
+
+
+def _operand(f: Formula, strength: int) -> str:
+    """``f`` as an operand, parenthesised unless it binds tighter than
+    ``strength``: nested U/R, && and || keep their grouping."""
+    text = render_formula(f)
+    if isinstance(f, Literal) or _SYNTAX[type(f)][1] > strength:
+        return text
+    return f"({text})"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Formula → Büchi automaton construction and lasso membership."""
 
+import hashlib
 import itertools
 import random
 
@@ -7,8 +8,9 @@ import pytest
 
 from oracles import brute_eval, random_nnf_formula
 from tgmc.buchi import build_buchi
-from tgmc.checker import buchi_accepts_lasso
+from tgmc.checker import buchi_accepts_lasso, combined_formula
 from tgmc.core import LinearForm, ModelError
+from tgmc.harness import resolve_model
 from tgmc.ltl import (FALSE, TRUE, Future, Globally, LessProp, Literal, Or,
                       Release, StatusProp, Until, negate_to_nnf)
 
@@ -114,3 +116,42 @@ def test_membership_matches_brute_force_on_exhaustive_small_words():
         for prefix, cycle in words:
             assert buchi_accepts_lasso(ba, prefix, cycle) == \
                 brute_eval(f, prefix, cycle)
+
+
+# The automata of the builtin specs, pinned as (states, SHA-256 of
+# repr((rendered aps, labels, succ, initial, sorted(accepting)))).  State
+# numbering fixes the product search order, so a change here changes the
+# golden counts and counterexamples too.  `unforg` has no `unless` clause,
+# and without fairness `corr` and `relay` read alike in every model.
+UNFORG = (5, "921bd8586d41e3ba29dc9f30cf7f66fbe10ce9d0608256539e7339318f92ab00")
+CORR = (3, "2ec0f62136783a0ceb8b83a9174c38015df6fbda0dfe9ef3916de426058d9ff0")
+RELAY = (3, "1c84c032e8a66f85ed36b49902d10fad2b013307a678a5978526c622bcfe2b92")
+BYZ_CORR = (10, "58489f8b173731f6ce823fe5161c1f4d67f6f82807078ca797a8ed48de07e577")
+BYZ_RELAY = (10, "d3e73e01fda359b913fe9174b25fe57ae0e6d3dbf163fb860379eb9f0e5b8dc4")
+BUILTIN_AUTOMATA = {
+    # (model, spec): (with fairness, without)
+    ("byz", "unforg"): (UNFORG, UNFORG),
+    ("byz", "corr"): (BYZ_CORR, CORR),
+    ("byz", "relay"): (BYZ_RELAY, RELAY),
+    ("omit", "unforg"): (UNFORG, UNFORG),
+    ("omit", "corr"): ((22, "541c149eb1349d66c8ef6d5d631ededdc252b56fe77dd7c4bb8c678544203a54"), CORR),
+    ("omit", "relay"): ((22, "7e1a1b328ef9cd12ac86ece1064311a280506a0be1f16b05e5d55cfa7602bfb5"), RELAY),
+    ("symm", "unforg"): (UNFORG, UNFORG),
+    ("symm", "corr"): ((10, "e5ab8a15afe51955201e9f0156efbe80c8c2a112460e8b4b0eb8a8dcfdce7ea7"), CORR),
+    ("symm", "relay"): ((10, "7ddbf07740499e880e90dc468e115a3c9074a09031cb19391d2137eadec1f993"), RELAY),
+    ("clean", "unforg"): (UNFORG, UNFORG),
+    ("clean", "corr"): (BYZ_CORR, CORR),
+    ("clean", "relay"): (BYZ_RELAY, RELAY),
+}
+
+
+@pytest.mark.parametrize("fairness", [True, False])
+@pytest.mark.parametrize("model_name,spec", list(BUILTIN_AUTOMATA))
+def test_builtin_spec_automata_are_pinned(model_name, spec, fairness):
+    model = resolve_model(model_name)
+    ba = build_buchi(negate_to_nnf(combined_formula(model, spec, fairness)))
+    key = repr((tuple(ap.render() for ap in ba.aps), ba.labels, ba.succ,
+                ba.initial, sorted(ba.accepting)))
+    with_fairness, without = BUILTIN_AUTOMATA[model_name, spec]
+    assert (ba.n_states(), hashlib.sha256(key.encode()).hexdigest()) == \
+        (with_fairness if fairness else without)

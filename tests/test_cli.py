@@ -159,6 +159,48 @@ def test_check_usage_errors(capsys, tmp_path):
         assert "--max-states" in capsys.readouterr().err
 
 
+NOP_MODEL = """model nop;
+size 2;
+status A, B;
+init A;
+step {
+  from qI to qF: set sv = B;
+}
+spec done: F all(sv == B);
+"""
+
+
+def test_check_model_without_parameters(capsys, tmp_path):
+    model = tmp_path / "nop.tg"
+    model.write_text(NOP_MODEL)
+    trace = tmp_path / "nop.trace"
+    code, out, err = run_cli(capsys, "check", "--model", str(model),
+                             "--spec", "done", "--trace", str(trace))
+    assert code == 1
+    assert out.startswith("model nop  spec done  params   fairness on")
+    assert "verdict: violated" in out
+    assert err == ""
+    assert "params: \n" in trace.read_text()
+
+    code, out, err = run_cli(capsys, "check", "--model", str(model),
+                             "--verify-trace", str(trace))
+    assert code == 0
+    assert "valid" in out
+
+    code, out, _ = run_cli(capsys, "check", "--model", str(model), "--spec",
+                           "done", "--params", "", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["params"] == ""
+
+    # A parametrised model still needs its binding.
+    for params in ([], ["--params", ""]):
+        code, out, err = run_cli(capsys, "check", "--model", "builtin:byz",
+                                 "--spec", "relay", *params)
+        assert code == 2
+        assert out == ""
+        assert err == "error: missing parameter(s): n, t, f\n"
+
+
 def test_check_resource_cap_exit_code(capsys):
     code, out, _ = run_cli(capsys, "check", "--model", "builtin:byz",
                            "--params", "n=7,t=2,f=2", "--spec", "relay",

@@ -1,5 +1,7 @@
 """Modeling-language parser: tokens, diagnostics, round-trips, bindings."""
 
+import random
+
 import pytest
 
 from tgmc.cfa import Guard, GuardNot, Pick, SvEq, ThresholdLe
@@ -7,7 +9,8 @@ from tgmc.core import LinearForm, ModelError
 from tgmc.dsl import (ModelSyntaxError, format_model, parse_model,
                       parse_params_binding, tokenize)
 from tgmc.harness import BUILTIN_NAMES, load_builtin
-from tgmc.ltl import Globally, LessProp, Literal, Or, StatusProp
+from tgmc.ltl import (And, Future, Globally, LessProp, Literal, Or, StatusProp,
+                      Until, render_formula)
 
 MINIMAL = """
 model tiny;
@@ -172,6 +175,37 @@ def test_offset_spec_atom_shapes():
 def test_builtins_round_trip_through_formatter(name):
     model = load_builtin(name)
     assert parse_model(format_model(model)) == model
+
+
+USER_APS = (StatusProp("all", "V1", True), StatusProp("some", "AC", False),
+            LessProp("rcvd", LinearForm.of(t=1), "nsnt"))
+
+
+def random_user_formula(rng: random.Random, depth: int):
+    """A formula the parser can produce: literals, F, G, U, and && / || of
+    at least two items."""
+    if depth == 0 or rng.random() < 0.3:
+        return Literal(rng.choice(USER_APS), rng.random() < 0.3)
+    kind = rng.randrange(5)
+    if kind < 2:
+        items = tuple(random_user_formula(rng, depth - 1)
+                      for _ in range(rng.randrange(2, 4)))
+        return (And, Or)[kind](items)
+    if kind == 4:
+        return Until(random_user_formula(rng, depth - 1),
+                     random_user_formula(rng, depth - 1))
+    return (Future, Globally)[kind - 2](random_user_formula(rng, depth - 1))
+
+
+def test_formulas_round_trip_through_formatter():
+    rng = random.Random("render-parse")
+    # (all(sv == V1) || some(sv != AC)) || F some(sv != AC)
+    v1, not_ac = Literal(USER_APS[0]), Literal(USER_APS[1])
+    nested = Or((Or((v1, not_ac)), Future(not_ac)))
+    for formula in [nested] + [random_user_formula(rng, 4) for _ in range(300)]:
+        model = parse_model(MINIMAL + f"spec random: {render_formula(formula)};\n")
+        assert model.spec("random").formula == formula
+        assert parse_model(format_model(model)) == model
 
 
 def test_builtin_structure():

@@ -32,8 +32,8 @@ def test_atomic_prop_rendering():
 
 
 def test_formula_rendering_and_precedence():
-    assert TRUE.render() == "true"
-    assert FALSE.render() == "false"
+    assert render_formula(TRUE) == "true"
+    assert render_formula(FALSE) == "false"
     assert render_formula(Or((q, Globally(p)))) == "all(sv == V1) || G some(sv == AC)"
     assert render_formula(Globally(Or((q, p)))) == "G (all(sv == V1) || some(sv == AC))"
     assert render_formula(And((Or((p, q)), r))) == \

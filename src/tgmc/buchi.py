@@ -40,6 +40,13 @@ class BuchiAutomaton:
     def n_states(self) -> int:
         return len(self.succ)
 
+    def entered(self, states, letter: int) -> list[int]:
+        """The states among ``states`` whose label the letter (the bitmask of
+        the propositions true at a position) meets, in their order."""
+        return [q for q in states
+                for need_true, need_false in (self.labels[q],)
+                if letter & need_true == need_true and not letter & need_false]
+
 
 # The tableau rules: the branches a node splits into when it takes up a
 # formula, in the order they are explored, each as the subformulas it must

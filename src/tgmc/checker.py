@@ -3,14 +3,19 @@ counterexample lassos.
 
 The search is the classic two-color nested depth-first search, implemented
 iteratively (explicit stacks) so deep state spaces cannot overflow Python's
-recursion limit.  Every reported lasso is replay-validated before the verdict
-is returned: each transition is re-checked against the reference step
-relation (``cfa.step_successors``, one process at a time), each state's
-propositions are re-evaluated on its processes' valuations, and the negated
-formula is re-evaluated on the lasso's word by the direct fixpoint
-evaluator.  A verdict is therefore never justified by the search alone.  The
-same search decides whether an automaton accepts one lasso word
-(buchi_accepts_lasso).
+recursion limit.  The product it searches labels each state of the instance
+once, with its *letter*: the bitmask of the propositions true in it.  Each
+distinct letter gets a small id, and one row per automaton state lists, per
+letter id, the automaton successors that the letter lets in; so an edge of
+the product is read, not tested.
+
+Every reported lasso is replay-validated before the verdict is returned:
+each transition is re-checked against the reference step relation
+(``cfa.step_successors``, one process at a time), each state's propositions
+are re-evaluated on its processes' valuations, and the negated formula is
+re-evaluated on the lasso's word by the direct fixpoint evaluator.  A
+verdict is therefore never justified by the search alone.  The same search
+decides whether an automaton accepts one lasso word (buchi_accepts_lasso).
 """
 
 from __future__ import annotations
@@ -163,6 +168,15 @@ class Product:
     Nodes are packed integers gid * n_automaton_states + automaton_state,
     where gid is the instance's id of the global state.  The graph belongs
     to the instance; the product labels each state it reaches, once.
+
+    A state's *letter* is the bitmask of the propositions true in it (bit i
+    for ``ba.aps[i]``).  Each distinct letter gets a small letter id when it
+    first appears, and ``_letter[gid]`` holds the letter id of state gid, or
+    -1 until the state is labelled.  The row ``_moves[q][lid]`` lists q's
+    automaton successors whose label letter ``lid`` meets, in ``ba.succ[q]``
+    order; it is filled for every q when the letter appears.  So expanding
+    a node reads, per Kripke edge, one slot and one row, and the rows grow
+    with the distinct letters seen, not with the 2^|aps| possible ones.
     """
 
     def __init__(self, inst: Instance, ba: BuchiAutomaton):
@@ -171,43 +185,61 @@ class Product:
         self.nq = max(ba.n_states(), 1)
         self._ap_funcs = [inst.compile_ap(ap) for ap in ba.aps]
         self._accept_flags = [q in ba.accepting for q in range(ba.n_states())]
-        self._gmask: dict[int, int] = {}
+        self._letter: list[int] = []            # gid -> letter id, or -1
+        self._letter_ids: dict[int, int] = {}    # letter -> letter id
+        self._letters: list[int] = []            # letter id -> letter
+        self._moves: list[list[list[int]]] = [[] for _ in ba.succ]
         self.transitions = 0
 
-    def _mask(self, gid: int) -> int:
-        mask = self._gmask.get(gid)
-        if mask is None:
-            state = self.inst.states[gid]
-            mask = 0
-            for bit, fn in enumerate(self._ap_funcs):
-                if fn(state):
-                    mask |= 1 << bit
-            self._gmask[gid] = mask
-        return mask
+    def _grow(self) -> None:
+        """Give every state the instance has interned a slot in ``_letter``."""
+        missing = len(self.inst.states) - len(self._letter)
+        if missing:
+            self._letter.extend([-1] * missing)
+
+    def _label(self, gid: int) -> int:
+        """Label state ``gid``: its letter id, assigned on the first visit."""
+        state = self.inst.states[gid]
+        letter = 0
+        for bit, fn in enumerate(self._ap_funcs):
+            if fn(state):
+                letter |= 1 << bit
+        lid = self._letter_ids.get(letter)
+        if lid is None:
+            lid = self._letter_ids[letter] = len(self._letters)
+            self._letters.append(letter)
+            for row, succ in zip(self._moves, self.ba.succ):
+                row.append(self.ba.entered(succ, letter))
+        self._letter[gid] = lid
+        return lid
 
     def initial_nodes(self) -> list[int]:
+        gids = [self.inst.state_id(state) for state in self.inst.initial_states()]
+        self._grow()
         nodes = []
-        for state in self.inst.initial_states():
-            gid = self.inst.state_id(state)
-            mask = self._mask(gid)
-            for q in self.ba.initial:
-                need_true, need_false = self.ba.labels[q]
-                if mask & need_true == need_true and not mask & need_false:
-                    nodes.append(gid * self.nq + q)
+        for gid in gids:
+            lid = self._letter[gid]
+            if lid < 0:
+                lid = self._label(gid)
+            nodes += [gid * self.nq + q
+                      for q in self.ba.entered(self.ba.initial, self._letters[lid])]
         return nodes
 
     def successors(self, node: int) -> list[int]:
         gid, q = divmod(node, self.nq)
+        succ = self.inst.successor_ids(gid)
+        self._grow()
+        letter = self._letter
+        row = self._moves[q]
+        nq = self.nq
         out = []
-        ba_succ = self.ba.succ[q]
-        labels = self.ba.labels
-        for gid2 in self.inst.successor_ids(gid):
-            mask = self._mask(gid2)
-            base = gid2 * self.nq
-            for q2 in ba_succ:
-                need_true, need_false = labels[q2]
-                if mask & need_true == need_true and not mask & need_false:
-                    out.append(base + q2)
+        for gid2 in succ:
+            lid = letter[gid2]
+            if lid < 0:
+                lid = self._label(gid2)
+            base = gid2 * nq
+            for q2 in row[lid]:
+                out.append(base + q2)
         self.transitions += len(out)
         return out
 
@@ -215,15 +247,16 @@ class Product:
         return self._accept_flags[node % self.nq]
 
     def kripke_state_count(self) -> int:
-        return len(self._gmask)
+        return len(self._letter) - self._letter.count(-1)
 
     def lasso(self, prefix_nodes: list[int], cycle_nodes: list[int]) -> Lasso:
         """The run of a lasso nested_dfs found, with the propositions of each
-        state read from the labels the search computed."""
+        state read from the letters the search computed."""
         gids = [node // self.nq for node in prefix_nodes + cycle_nodes]
         states = [self.inst.decode(self.inst.states[gid]) for gid in gids]
+        letters = [self._letters[self._letter[gid]] for gid in gids]
         truth = [frozenset(ap for bit, ap in enumerate(self.ba.aps)
-                           if self._mask(gid) >> bit & 1) for gid in gids]
+                           if letter >> bit & 1) for letter in letters]
         split = len(prefix_nodes)
         return Lasso(states[:split], states[split:], truth)
 
@@ -242,19 +275,15 @@ def buchi_accepts_lasso(ba: BuchiAutomaton, prefix_letters, cycle_letters) -> bo
     masks = [sum(1 << i for i, ap in enumerate(ba.aps) if ap in letter)
              for letter in letters]
     nxt = list(range(1, len(letters))) + [len(prefix_letters)]
-    labels = ba.labels
     nq = max(ba.n_states(), 1)
-
-    def entered(pos: int, states) -> list[int]:
-        mask = masks[pos]
-        return [pos * nq + q for q in states
-                if mask & labels[q][0] == labels[q][0] and not mask & labels[q][1]]
 
     def successors(node: int) -> list[int]:
         pos, q = divmod(node, nq)
-        return entered(nxt[pos], ba.succ[q])
+        pos = nxt[pos]
+        return [pos * nq + q2 for q2 in ba.entered(ba.succ[q], masks[pos])]
 
-    result, _ = nested_dfs(entered(0, ba.initial), successors,
+    # Position 0's nodes are its automaton states themselves.
+    result, _ = nested_dfs(ba.entered(ba.initial, masks[0]), successors,
                            lambda node: node % nq in ba.accepting)
     return result is not None
 

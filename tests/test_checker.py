@@ -2,20 +2,24 @@
 
 import importlib.util
 import random
+from collections import deque
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import tgmc
-from oracles import random_digraph, scc_accepting_lasso_exists
+from oracles import (eval_atomic_prop, random_digraph,
+                     reference_initial_states, reference_successors,
+                     scc_accepting_lasso_exists)
 from tgmc import checker
 from tgmc.buchi import build_buchi
 from tgmc.checker import (DEFAULT_MAX_PRODUCT_STATES, Lasso, Product,
                           ResourceCapExceeded, Verdict, check_spec,
                           combined_formula, nested_dfs, replay_lasso)
 from tgmc.core import LinearForm, ModelError
-from tgmc.dsl import parse_model
-from tgmc.harness import load_builtin
+from tgmc.dsl import parse_model, parse_params_binding
+from tgmc.harness import load_builtin, read_manifest
 from tgmc.kripke import Instance
 from tgmc.ltl import (Future, Globally, LessProp, Literal, Or, StatusProp,
                       negate_to_nnf, render_formula)
@@ -122,6 +126,122 @@ def test_product_counts_are_consistent():
     assert result is None
     assert stored <= product.kripke_state_count() * ba.n_states()
     assert product.kripke_state_count() <= stored
+
+
+# ---------------------------------------------------------------------------
+# The product against a naive product: the same graph, walked in tuple form
+# by the reference successor relation, with every automaton successor's
+# label tested by evaluating its propositions on the decoded state.
+
+def assert_product_is_naive(product) -> None:
+    """Expand every node the product reaches and compare it, in order, with
+    the naive product; also the counts the product keeps."""
+    inst, ba, nq = product.inst, product.ba, product.nq
+    truths: dict = {}               # tuple-form state -> truth per ba.aps
+
+    def entered(states, state) -> list[int]:
+        """The automaton states among ``states`` whose literals all hold in
+        the tuple-form ``state``, as product nodes of that state."""
+        gid = inst.state_id(inst.encode(state))
+        truth = truths.get(state)
+        if truth is None:
+            truth = truths[state] = [
+                eval_atomic_prop(ap, state, inst.model, inst.env)
+                for ap in ba.aps]
+        out = []
+        for q in states:
+            need_true, need_false = ba.labels[q]
+            if all(truth[i] == (need_true >> i & 1 == 1)
+                   for i in range(len(truth)) if (need_true | need_false) >> i & 1):
+                out.append(gid * nq + q)
+        return out
+
+    initial = product.initial_nodes()
+    naive = []
+    for state in reference_initial_states(inst):
+        naive += entered(ba.initial, state)
+    assert initial == naive
+    seen, queue, moves, edges = set(initial), deque(initial), {}, 0
+    while queue:
+        node = queue.popleft()
+        out = product.successors(node)
+        gid, q = divmod(node, nq)
+        naive = []
+        for state in reference_successors(inst, inst.decode(inst.states[gid]),
+                                          moves):
+            naive += entered(ba.succ[q], state)
+        assert out == naive, (node, out, naive)
+        edges += len(out)
+        for child in out:
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
+    assert product.transitions == edges
+    # Every state the product met is labelled once: the initial states and
+    # the successors of the expanded nodes.
+    assert product.kripke_state_count() == len(truths)
+
+
+def smallest_bindings() -> dict[str, str]:
+    """Per builtin model, its binding with the fewest processes in the
+    shipped manifests (the first such row)."""
+    smallest: dict[str, tuple[int, str]] = {}
+    for name in ("table1.csv", "appendix_required.csv", "appendix_extended.csv"):
+        path = resources.files("tgmc") / "tables" / name
+        for case in read_manifest(str(path)):
+            if case.expected == "skip" or case.tier in ("skip", "unmodeled"):
+                continue
+            n = parse_params_binding(case.params, load_builtin(case.model))["n"]
+            if case.model not in smallest or n < smallest[case.model][0]:
+                smallest[case.model] = (n, case.params)
+    return {model: params for model, (_, params) in smallest.items()}
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+@pytest.mark.parametrize("model_name", ["byz", "omit", "symm", "clean"])
+def test_product_matches_the_naive_product(model_name, symmetry):
+    model = load_builtin(model_name)
+    params = smallest_bindings()[model_name]
+    env = parse_params_binding(params, model)
+    assert len(model.specs) == 3
+    for spec in model.specs:
+        for fairness in (True, False):
+            formula = combined_formula(model, spec.name, fairness)
+            inst = Instance(model, env, symmetry=symmetry)
+            product = Product(inst, build_buchi(negate_to_nnf(formula)))
+            assert_product_is_naive(product)
+
+
+def wide_clean_model():
+    """``clean`` with two specs over 20 distinct propositions
+    some(rcvd + k < nsnt), k = 0..19."""
+    source = (resources.files("tgmc") / "models" / "clean.tg").read_text(
+        encoding="utf-8")
+    props = ["some(rcvd < nsnt)"] + [f"some(rcvd + {k} < nsnt)"
+                                     for k in range(1, 20)]
+    source += (f"spec wide_any: G ({' || '.join(props)});\n"
+               f"spec wide_all: F G ({' && '.join(props)});\n")
+    return parse_model(source)
+
+
+@pytest.mark.parametrize("spec, counts", [
+    ("wide_any", (3, 5, 4)), ("wide_all", (2, 5, 42))])
+def test_a_wide_alphabet(spec, counts):
+    model = wide_clean_model()
+    env = {"n": 4, "t": 1}
+    formula = model.spec(spec).formula
+    ba = build_buchi(negate_to_nnf(formula))
+    assert len(ba.aps) == 20
+    checker._instance.cache_clear()
+    verdict = check_spec(model, env, spec)
+    assert verdict.status == "violated"
+    assert (verdict.product_states, verdict.kripke_states,
+            verdict.transitions) == counts
+    product = Product(Instance(model, env), ba)
+    assert_product_is_naive(product)
+    # One row entry per distinct letter seen, never one per possible letter.
+    assert all(len(row) <= product.kripke_state_count()
+               for row in product._moves)
 
 
 def test_searches_share_the_instance_graph(monkeypatch):

@@ -4,16 +4,16 @@ counterexample lassos.
 The search is the classic two-color nested depth-first search, implemented
 iteratively (explicit stacks) so deep state spaces cannot overflow Python's
 recursion limit.  The product it searches labels each state of the instance
-once, with its *letter*: the bitmask of the propositions true in it.  Each
-distinct letter gets a small id, and one row per automaton state lists, per
-letter id, the automaton successors that the letter lets in; so an edge of
-the product is read, not tested.
+once, with its *letter* from ``Instance.compile_ap``: the bitmask of the
+propositions true in it.  Each distinct letter gets a small id, and one row
+per automaton state lists, per letter id, the automaton successors that the
+letter lets in; so an edge of the product is read, not tested.
 
 Every reported lasso is replay-validated before the verdict is returned:
 each transition is re-checked against the reference step relation
 (``cfa.step_successors``, one process at a time), each state's propositions
-are re-evaluated on its processes' valuations, and the negated formula is
-re-evaluated on the lasso's word by the direct fixpoint evaluator.  A
+are re-evaluated by ``ltl.ap_holds`` on its processes' valuations, and the
+negated formula on the lasso's word by the direct fixpoint evaluator.  A
 verdict is therefore never justified by the search alone.  The same search
 decides whether an automaton accepts one lasso word (buchi_accepts_lasso).
 """
@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 from .buchi import BuchiAutomaton, build_buchi
 from .cfa import step_successors
-from .core import ModelError, ParamEnv, Valuation, eval_linear_form
+from .core import ModelError, ParamEnv
 from .dsl import ModelDef
 from .kripke import EngineState, Instance
-from .ltl import (AtomicProp, Formula, StatusProp, disjoin,
-                  eval_formula_on_lasso, formula_aps, negate_to_nnf)
+from .ltl import (AtomicProp, Formula, ap_holds, disjoin, eval_formula_on_lasso,
+                  formula_aps, negate_to_nnf)
 
 DEFAULT_MAX_PRODUCT_STATES = 50_000_000
 
@@ -183,7 +183,7 @@ class Product:
         self.inst = inst
         self.ba = ba
         self.nq = max(ba.n_states(), 1)
-        self._ap_funcs = [inst.compile_ap(ap) for ap in ba.aps]
+        self._letter_of = inst.compile_ap(ba.aps)
         self._accept_flags = [q in ba.accepting for q in range(ba.n_states())]
         self._letter: list[int] = []            # gid -> letter id, or -1
         self._letter_ids: dict[int, int] = {}    # letter -> letter id
@@ -199,11 +199,7 @@ class Product:
 
     def _label(self, gid: int) -> int:
         """Label state ``gid``: its letter id, assigned on the first visit."""
-        state = self.inst.states[gid]
-        letter = 0
-        for bit, fn in enumerate(self._ap_funcs):
-            if fn(state):
-                letter |= 1 << bit
+        letter = self._letter_of(self.inst.states[gid])
         lid = self._letter_ids.get(letter)
         if lid is None:
             lid = self._letter_ids[letter] = len(self._letters)
@@ -291,17 +287,6 @@ def buchi_accepts_lasso(ba: BuchiAutomaton, prefix_letters, cycle_letters) -> bo
 # ---------------------------------------------------------------------------
 # Replay validation and the top-level check.
 
-def _holds(ap: AtomicProp, views: list[Valuation], env: ParamEnv) -> bool:
-    """The truth of ``ap`` in a state given as its processes' valuations,
-    each variable read by its declared name, as the reference step relation
-    reads it; over no processes ∀ is true and ∃ false."""
-    if isinstance(ap, StatusProp):
-        hits = [(v.status == ap.status) == ap.eq for v in views]
-        return all(hits) if ap.quant == "all" else any(hits)
-    offset = eval_linear_form(ap.offset, env)
-    return any(v.value(ap.x) + offset < v.value(ap.y) for v in views)
-
-
 def replay_lasso(inst: Instance, lasso: Lasso, negated: Formula) -> list[str]:
     """Re-derive everything the lasso claims; returns problems (empty = valid).
 
@@ -309,10 +294,10 @@ def replay_lasso(inst: Instance, lasso: Lasso, negated: Formula) -> list[str]:
     that each consecutive pair of states (the cycle's wrap-around included)
     is the move of one process by the reference step relation,
     ``cfa.step_successors``, that the recorded proposition sets match
-    direct evaluation on the process valuations, and that the negated
+    ``ltl.ap_holds`` on every process's valuation, and that the negated
     formula is true on the lasso's word.  Neither the edges nor the labels
     are checked with the fast path that found them: not with
-    ``inst.successors`` or its step cache, and not with ``inst.compile_ap``.
+    ``inst.successors`` or its step cache, nor with ``inst.compile_ap``.
     """
     problems: list[str] = []
     states = lasso.states()
@@ -361,7 +346,7 @@ def replay_lasso(inst: Instance, lasso: Lasso, negated: Formula) -> list[str]:
     truth = []
     for procs, shareds in states:
         views = [inst.valuation(entry, shareds) for entry in procs]
-        truth.append(frozenset(ap for ap in aps if _holds(ap, views, inst.env)))
+        truth.append(frozenset(ap for ap in aps if ap_holds(ap, views, inst.env)))
     if [set(t) for t in truth] != [set(t) for t in lasso.ap_truth]:
         problems.append("recorded proposition sets disagree with direct evaluation")
     split = len(lasso.prefix)

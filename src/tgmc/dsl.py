@@ -29,9 +29,11 @@ The statement and operation keywords, the formula keywords (``all``,
 are reserved.  ``model``, ``size``, ``resilience`` and ``step`` appear once.
 
 The parser checks every name where it is written (see ``parse_model``);
-``cfa.build_cfa`` checks only the step block's graph.  Parsing collects as
-many diagnostics as it can (with line:column positions) before failing; it
-never aborts the process.
+``cfa.build_cfa`` checks only the step block's graph.  Parentheses and
+prefix operators nest at most ``MAX_NESTING`` deep, and a formula's tree is
+at most as high, so no recursive pass meets a deeper tree.  Parsing collects
+as many diagnostics as it can (with line:column positions) before failing;
+it never aborts the process.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .cfa import (EPS, Cfa, Edge, Guard, GuardAnd, GuardExpr, GuardNot, Inc, Op,
 from .core import (Comparison, LinearForm, ModelError, ParamEnv,
                    ResilienceCondition, normalize_coeffs, parse_int)
 from .ltl import (And, Formula, Future, Globally, LessProp, Literal, Or,
-                  StatusProp, Until, disjoin, formula_aps, render_formula)
+                  StatusProp, Until, children, disjoin, formula_aps, render_formula)
 
 RESERVED_NAMES = {
     "model", "param", "resilience", "size", "status", "init", "local", "shared",
@@ -52,6 +54,8 @@ RESERVED_NAMES = {
     "spec", "unless", "all", "some", "sv", "eps", "F", "G", "U", "R",
     "true", "false",
 }
+
+MAX_NESTING = 100   # the builtin models' formulas and guards nest 4 deep
 
 
 @dataclass(frozen=True)
@@ -184,6 +188,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.diagnostics = diagnostics
+        self.depth = 0      # open parentheses and prefix operators
 
     # -- token plumbing ----------------------------------------------------
 
@@ -235,9 +240,19 @@ class _Parser:
         self.diagnostics.append(Diagnostic(tok.line, tok.col, message))
         raise _Recover()
 
+    def nest(self, parse):
+        """``parse()`` inside the parenthesis or prefix operator just read."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"nested more than {MAX_NESTING} levels deep",
+                      self.tokens[self.pos - 1])
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
+
     def skip_statement(self) -> None:
         """Panic recovery: skip past the next ';' (or a closing '}')."""
-        depth = 0
+        self.depth = depth = 0
         while True:
             tok = self.peek()
             if tok.kind == "eof":
@@ -304,11 +319,11 @@ class _Parser:
     def parse_guard_unary(self) -> GuardExpr:
         if self.take("!"):
             self.expect("(")
-            inner = self.parse_guard()
+            inner = self.nest(self.parse_guard)
             self.expect(")")
             return GuardNot(inner)
         if self.take("("):
-            inner = self.parse_guard()
+            inner = self.nest(self.parse_guard)
             self.expect(")")
             return inner
         if self.at("sv"):
@@ -359,18 +374,26 @@ class _Parser:
     # -- formulas ------------------------------------------------------------
 
     def parse_formula(self) -> Formula:
-        return self.parse_implies()
+        start = self.peek()
+        formula = self.parse_implies()
+        level = [formula]
+        for _ in range(MAX_NESTING):
+            level = [child for f in level for child in children(f)]
+        if level:
+            self.fail(f"formula nested more than {MAX_NESTING} levels deep", start)
+        return formula
 
     def parse_implies(self) -> Formula:
-        start = self.peek()
-        lhs = self.parse_or()
-        if not self.take("->"):
-            return lhs
-        if not isinstance(lhs, Literal):
-            self.fail("the premise of '->' must be a literal "
-                      "(richer premises are not part of the language)", start)
-        rhs = self.parse_implies()
-        return disjoin(Literal(lhs.ap, not lhs.negated), rhs)
+        premises = []
+        while True:
+            start = self.peek()
+            lhs = self.parse_or()
+            if not self.take("->"):
+                return disjoin(*premises, lhs) if premises else lhs
+            if not isinstance(lhs, Literal):
+                self.fail("the premise of '->' must be a literal "
+                          "(richer premises are not part of the language)", start)
+            premises.append(Literal(lhs.ap, not lhs.negated))
 
     def parse_or(self) -> Formula:
         items = [self.parse_and()]
@@ -398,18 +421,18 @@ class _Parser:
 
     def parse_formula_unary(self) -> Formula:
         if self.take("F"):
-            return Future(self.parse_formula_unary())
+            return Future(self.nest(self.parse_formula_unary))
         if self.take("G"):
-            return Globally(self.parse_formula_unary())
+            return Globally(self.nest(self.parse_formula_unary))
         if self.take("!"):
             start = self.peek()
-            arg = self.parse_formula_unary()
+            arg = self.nest(self.parse_formula_unary)
             if not isinstance(arg, Literal):
                 self.fail("'!' applies to literals only; negation of compound "
                           "formulas is expressed by the dual operators", start)
             return Literal(arg.ap, not arg.negated)
         if self.take("("):
-            inner = self.parse_formula()
+            inner = self.nest(self.parse_implies)
             self.expect(")")
             return inner
         return self.parse_formula_literal()

@@ -37,12 +37,12 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import Counter
-from typing import Callable
+from collections.abc import Callable, Sequence
 
 from .cfa import step_successors
 from .core import ModelError, ParamEnv, Valuation, eval_linear_form
 from .dsl import ModelDef
-from .ltl import AtomicProp, LessProp, StatusProp
+from .ltl import AtomicProp, LessProp, StatusProp, ap_holds
 
 # The decoded view of a state (documentation only).
 ProcEntry = tuple[int, tuple[int, ...]]
@@ -270,47 +270,35 @@ class Instance:
 
     # -- labeling -------------------------------------------------------------
 
-    def compile_ap(self, ap: AtomicProp) -> Callable[[int], bool]:
-        """Fast evaluator for one atomic proposition over packed states; it
-        reads each distinct entry of a state once."""
-        entries, shared_vecs = self._entries, self._shared_vecs
-        entry_ids = self.entry_ids
-        if isinstance(ap, StatusProp):
-            if ap.status not in self._status_index:
+    def compile_ap(self, aps: Sequence[AtomicProp]) -> Callable[[int], int]:
+        """The letter function of ``aps``: a state's bitmask, bit i set when
+        ``aps[i]`` holds.  Per (entry id, shareds id), as ``_moves`` does, it
+        caches one process's *witness bits* by ``ltl.ap_holds``: bit i is set
+        when the process makes a ``some`` ``aps[i]`` true or an ``all`` one
+        false.  A letter ORs its entries' witness bits and flips the ``all``
+        bits, so over no processes ∀ is true and ∃ false."""
+        for ap in aps:
+            if isinstance(ap, StatusProp) and ap.status not in self._status_index:
                 raise ModelError(f"unknown status {ap.status!r}")
-            target = self._status_index[ap.status]
-            want_all = ap.quant == "all"
-            eq = ap.eq
+            for name in (ap.x, ap.y) if isinstance(ap, LessProp) else ():
+                if name not in self._locals and name not in self._shareds:
+                    raise ModelError(f"unknown variable {name!r}")
+        flip = sum(1 << i for i, ap in enumerate(aps)
+                   if isinstance(ap, StatusProp) and ap.quant == "all")
+        witnesses: dict[tuple[int, int], int] = {}
+        entry_ids = self.entry_ids
 
-            def eval_status(state: int) -> bool:
-                hits = ((entries[eid][0] == target) == eq
-                        for eid in entry_ids(state))
-                return all(hits) if want_all else any(hits)
+        def letter(state: int) -> int:
+            sid = state & _FIELD_MASK
+            bits = 0
+            for eid in entry_ids(state):
+                found = witnesses.get((eid, sid))
+                if found is None:
+                    view = [self.valuation(self._entries[eid], self._shared_vecs[sid])]
+                    found = witnesses[eid, sid] = sum(
+                        1 << i for i, ap in enumerate(aps)
+                        if ap_holds(ap, view, self.env) != (flip >> i & 1))
+                bits |= found
+            return bits ^ flip
 
-            return eval_status
-
-        if isinstance(ap, LessProp):
-            offset = eval_linear_form(ap.offset, self.env)
-            x_local, x_slot = self._variable_slot(ap.x)
-            y_local, y_slot = self._variable_slot(ap.y)
-
-            def eval_less(state: int) -> bool:
-                shareds = shared_vecs[state & _FIELD_MASK]
-                for eid in entry_ids(state):
-                    local_vals = entries[eid][1]
-                    xv = local_vals[x_slot] if x_local else shareds[x_slot]
-                    yv = local_vals[y_slot] if y_local else shareds[y_slot]
-                    if xv + offset < yv:
-                        return True
-                return False
-
-            return eval_less
-        raise ModelError(f"unknown atomic proposition {ap!r}")
-
-    def _variable_slot(self, name: str) -> tuple[bool, int]:
-        """(is_local, index) for a per-process view of a declared variable."""
-        if name in self._locals:
-            return (True, self._locals.index(name))
-        if name in self._shareds:
-            return (False, self._shareds.index(name))
-        raise ModelError(f"unknown variable {name!r}")
+        return letter

@@ -1,6 +1,6 @@
 """Temporal formulas without a next-step operator: quantified atomic
-propositions, the formula tree, negation normal form, and direct evaluation on
-ultimately periodic words.
+propositions and ``ap_holds``, the one definition of their truth, the formula
+tree, negation normal form, and direct evaluation on ultimately periodic words.
 
 The direct evaluator is deliberately independent of the automaton pipeline: it
 is the ground truth that reported counterexamples are replayed against.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import LinearForm, ModelError
+from .core import LinearForm, ModelError, ParamEnv, Valuation, eval_linear_form
 
 # ---------------------------------------------------------------------------
 # Atomic propositions, all quantified over the process vector.
@@ -41,6 +41,17 @@ class LessProp:
 
 
 AtomicProp = StatusProp | LessProp
+
+
+def ap_holds(ap: AtomicProp, views: list[Valuation], env: ParamEnv) -> bool:
+    """The truth of ``ap`` in a state given as its processes' valuations,
+    each variable read by its declared name, as the reference step relation
+    reads it; over no processes ∀ is true and ∃ false."""
+    if isinstance(ap, StatusProp):
+        hits = [(v.status == ap.status) == ap.eq for v in views]
+        return all(hits) if ap.quant == "all" else any(hits)
+    offset = eval_linear_form(ap.offset, env)
+    return any(v.value(ap.x) + offset < v.value(ap.y) for v in views)
 
 
 # ---------------------------------------------------------------------------

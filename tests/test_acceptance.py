@@ -309,10 +309,10 @@ def test_fairness_clause_necessary_for_liveness():
         # condition the fair check excludes holds on it
         psi = model.unfairness_formula(model.spec(spec_name).unless)
         aps = formula_aps(psi)
-        evaluators = {ap: inst.compile_ap(ap) for ap in aps}
-        states = lasso.states()
-        truth = [frozenset(ap for ap in aps if evaluators[ap](inst.encode(state)))
-                 for state in states]
+        letter = inst.compile_ap(aps)
+        truth = [frozenset(ap for i, ap in enumerate(aps)
+                           if letter(inst.encode(state)) >> i & 1)
+                 for state in lasso.states()]
         split = len(lasso.prefix)
         assert eval_formula_on_lasso(psi, truth[:split], truth[split:])
         assert brute_eval(psi, truth[:split], truth[split:])

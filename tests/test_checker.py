@@ -446,17 +446,24 @@ def test_replay_checks_edges_against_the_reference_step_relation(poison):
 
 
 def test_replay_labels_states_by_the_reference_semantics(monkeypatch):
-    """A search whose proposition evaluator lies finds a lasso in a healthy
+    """A search whose letter function lies finds a lasso in a healthy
     instance; replay evaluates the propositions itself and rejects it."""
     real = Instance.compile_ap
 
-    def poisoned(inst, ap):
-        if isinstance(ap, StatusProp) and ap.status == "AC" and ap.eq:
-            value = ap.quant == "some"      # some(sv == AC), not all(sv == AC)
-            return lambda state: value
-        if isinstance(ap, LessProp):
-            return lambda state: False
-        return real(inst, ap)
+    def poisoned(inst, aps):
+        # Every letter claims some(sv == AC), never all(sv == AC), and no
+        # LessProp.
+        set_bits = clear_bits = 0
+        for i, ap in enumerate(aps):
+            if isinstance(ap, StatusProp) and ap.status == "AC" and ap.eq:
+                if ap.quant == "some":
+                    set_bits |= 1 << i
+                else:
+                    clear_bits |= 1 << i
+            if isinstance(ap, LessProp):
+                clear_bits |= 1 << i
+        letter = real(inst, aps)
+        return lambda state: (letter(state) | set_bits) & ~clear_bits
 
     model = load_builtin("byz")
     env = {"n": 7, "t": 2, "f": 2}

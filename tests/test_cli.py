@@ -201,6 +201,44 @@ def test_check_model_without_parameters(capsys, tmp_path):
         assert err == "error: missing parameter(s): n, t, f\n"
 
 
+# A manifest row needs parameters, so these models have one.
+DEEP_BASE = NOP_MODEL.replace("size 2;", "param k;\nsize k;")
+DEEP_MODELS = {
+    "parentheses": DEEP_BASE + "spec deep: " + "(" * 400 + "all(sv == B)"
+                   + ")" * 400 + ";\n",
+    "until chain": DEEP_BASE + "spec deep: "
+                   + " U ".join(["all(sv == B)"] * 1500) + ";\n",
+    "guard negations": DEEP_BASE.replace(
+        "from qI to qF: set sv = B;",
+        "from qI to q1: when " + "!(" * 1500 + "sv == A" + ")" * 1500
+        + "; from q1 to qF: set sv = B;") + "spec deep: F all(sv == B);\n",
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_MODELS)
+def test_deep_nesting_is_a_usage_error(capsys, tmp_path, shape):
+    """A model nested too deep is a diagnostic (exit 2) from check, and an
+    error row from bench that leaves the other rows' results."""
+    model = tmp_path / "deep.tg"
+    model.write_text(DEEP_MODELS[shape])
+    code, out, err = run_cli(capsys, "check", "--model", str(model),
+                             "--params", "k=2", "--spec", "deep")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "nested more than" in err
+
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("model,params,spec,expected,tier\n"
+                        'byz,"n=4,t=1,f=1",unforg,holds,required\n'
+                        f"{model},k=2,deep,holds,required\n"
+                        'clean,"n=3,t=3",unforg,violated,required\n')
+    code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest))
+    assert code == 1
+    rows = [line.split(",")[-5:-3] for line in out.splitlines()[1:]]
+    assert rows == [["holds", "yes"], ["error", "no"], ["violated", "yes"]]
+    assert "expected holds, got error (" in err and "nested more than" in err
+
+
 def test_check_resource_cap_exit_code(capsys):
     code, out, _ = run_cli(capsys, "check", "--model", "builtin:byz",
                            "--params", "n=7,t=2,f=2", "--spec", "relay",

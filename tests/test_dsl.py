@@ -6,8 +6,8 @@ import pytest
 
 from tgmc.cfa import Guard, GuardNot, Pick, SvEq, ThresholdLe
 from tgmc.core import LinearForm, ModelError
-from tgmc.dsl import (ModelSyntaxError, format_model, parse_model,
-                      parse_params_binding, tokenize)
+from tgmc.dsl import (MAX_NESTING, ModelSyntaxError, format_model,
+                      parse_model, parse_params_binding, tokenize)
 from tgmc.harness import BUILTIN_NAMES, load_builtin
 from tgmc.ltl import (And, Future, Globally, LessProp, Literal, Or, StatusProp,
                       Until, render_formula)
@@ -308,3 +308,49 @@ def test_guard_only_over_declared_names():
     with pytest.raises(ModelSyntaxError) as err:
         parse_model(bad)
     assert "other" in str(err.value)
+
+
+NEGATED_GUARD = "!(t + 1 <= rcvd)"
+
+
+def nest(shape, depth):
+    """MINIMAL with a formula or guard of ``shape`` nested ``depth`` deep."""
+    if shape == "parentheses":
+        spec = "(" * depth + "all(sv == AC)" + ")" * depth
+    elif shape == "until chain":
+        spec = " U ".join(["all(sv == AC)"] * depth)
+    else:
+        return MINIMAL.replace(NEGATED_GUARD, "!(" * depth + "t + 1 <= rcvd"
+                               + ")" * depth)
+    return MINIMAL + f"spec deep: {spec};\n"
+
+
+@pytest.mark.parametrize("shape,position", [
+    ("parentheses", f"19:{12 + MAX_NESTING}"),     # the first one too many
+    ("until chain", "19:12"),                      # where the formula starts
+    ("guard negations", f"14:{25 + 2 * MAX_NESTING}"),
+])
+def test_deep_nesting_is_a_diagnostic(shape, position):
+    """Nesting far past the bound is one diagnostic at its line:col, not a
+    RecursionError in the parser or in a later pass over the tree."""
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(nest(shape, 1500))
+    assert [d.render() for d in err.value.diagnostics] == [
+        f"{position}: {'formula ' if shape == 'until chain' else ''}"
+        f"nested more than {MAX_NESTING} levels deep"]
+    with pytest.raises(ModelSyntaxError):
+        parse_model(nest(shape, MAX_NESTING + 1))
+    model = parse_model(nest(shape, MAX_NESTING))
+    assert parse_model(format_model(model)) == model
+
+
+def test_long_flat_formulas_parse():
+    """Chains that nest no deeper as they grow are not bounded: ``->``, ``&&``
+    and ``||`` give one flat disjunction or conjunction."""
+    atom = "all(sv == AC)"
+    model = parse_model(MINIMAL + f"spec imp: {' -> '.join([atom] * 1500)};\n"
+                        f"spec con: {' && '.join([atom] * 1500)};\n")
+    implied = model.spec("imp").formula
+    assert isinstance(implied, Or) and len(implied.items) == 1500
+    assert implied.items[0] == Literal(StatusProp("all", "AC", True), negated=True)
+    assert len(model.spec("con").formula.items) == 1500

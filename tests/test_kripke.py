@@ -120,7 +120,7 @@ def test_canonicalize_is_idempotent_and_label_preserving():
              StatusProp("all", "V1", False),
              LessProp("rcvd", LinearForm(), "nsnt"),
              LessProp("rcvd", LinearForm.of(f=1), "nsnt")]
-    compiled = [inst.compile_ap(prop) for prop in props]
+    letter = inst.compile_ap(props)
     rng = random.Random("canon")
     for _ in range(300):
         procs = tuple((rng.randrange(len(model.statuses)),
@@ -136,10 +136,11 @@ def test_canonicalize_is_idempotent_and_label_preserving():
         assert canonical(permuted) == c
         assert inst.encode(c) == inst.encode(state) == inst.encode(permuted)
         assert inst.decode(inst.encode(permuted)) == c
-        for prop, fn in zip(props, compiled):
-            assert fn(inst.encode(c)) == fn(inst.encode(state)) == \
-                fn(inst.encode(permuted))
-            assert fn(inst.encode(c)) == eval_atomic_prop(prop, c, model, inst.env)
+        assert letter(inst.encode(c)) == letter(inst.encode(state)) == \
+            letter(inst.encode(permuted))
+        assert letter(inst.encode(c)) == sum(
+            1 << i for i, prop in enumerate(props)
+            if eval_atomic_prop(prop, c, model, inst.env))
         assert all(canonical(s) == s
                    for s in decoded(inst, inst.successors(inst.encode(c))))
 
@@ -151,7 +152,7 @@ def test_eval_atomic_prop_quantifiers():
     def holds(prop, state):
         # An instance of n - f = len(procs) processes, with f = 1.
         inst = Instance(model, {"n": len(state[0]) + 1, "t": 2, "f": 1})
-        value = inst.compile_ap(prop)(inst.encode(state))
+        value = inst.compile_ap([prop])(inst.encode(state)) == 1
         assert value == eval_atomic_prop(prop, state, model, inst.env)
         return value
 
@@ -173,30 +174,34 @@ def test_eval_atomic_prop_quantifiers():
 
 
 def test_compiled_ap_matches_direct_evaluation():
-    inst = byz_instance()
+    # Raw states repeat an entry, whose witness bits are read more than once.
     model = load_builtin("byz")
     props = [StatusProp("all", "V0", True), StatusProp("some", "SE", True),
-             StatusProp("some", "V1", False),
+             StatusProp("some", "V1", False), StatusProp("all", "V1", False),
              LessProp("rcvd", LinearForm(), "nsnt"),
              LessProp("rcvd", LinearForm.of(f=1), "nsnt")]
-    frontier = inst.initial_states()
-    seen = set(frontier)
-    rng = random.Random("aps")
-    for _ in range(200):
-        state = rng.choice(sorted(seen, key=inst.decode)[:500])
-        for s in inst.successors(state):
-            seen.add(s)
-        for prop in props:
-            assert inst.compile_ap(prop)(state) == \
-                eval_atomic_prop(prop, inst.decode(state), model, inst.env)
+    for symmetry in (True, False):
+        inst = byz_instance(symmetry=symmetry)
+        letter = inst.compile_ap(props)
+        seen = set(inst.initial_states())
+        rng = random.Random("aps")
+        for _ in range(200):
+            state = rng.choice(sorted(seen, key=inst.decode)[:500])
+            seen.update(inst.successors(state))
+            assert letter(state) == sum(
+                1 << i for i, prop in enumerate(props)
+                if eval_atomic_prop(prop, inst.decode(state), model, inst.env))
 
 
 def test_unknown_names_raise():
     inst = byz_instance()
-    with pytest.raises(ModelError):
-        inst.compile_ap(StatusProp("all", "ZZ", True))
-    with pytest.raises(ModelError):
-        inst.compile_ap(LessProp("zz", LinearForm(), "nsnt"))
+    with pytest.raises(ModelError, match="unknown status 'ZZ'"):
+        inst.compile_ap([StatusProp("some", "AC", True),
+                         StatusProp("all", "ZZ", True)])
+    with pytest.raises(ModelError, match="unknown variable 'zz'"):
+        inst.compile_ap([LessProp("zz", LinearForm(), "nsnt")])
+    with pytest.raises(ModelError, match="unknown variable 'n'"):
+        inst.compile_ap([LessProp("rcvd", LinearForm(), "n")])
     # Named states enter the engine only through trace parsing.
     with pytest.raises(ModelError, match="unknown status 'ZZ'"):
         parse_trace(f"{TRACE_MAGIC}\nmodel: byz\nparams: n=1, t=0, f=0\n"

@@ -105,12 +105,12 @@ class PickCond:
         return any(a.lhs == EPS and a.rhs != EPS for a in self.atoms)
 
 
-def pick_range(cond: PickCond, v: Valuation, target: str) -> tuple[int, int]:
+def pick_range(cond: PickCond, v: Valuation) -> tuple[int, int]:
     """The exact choice set {e ∈ ℕ₀ | v ⊨ cond[e/ε]} as an interval (lo, hi).
 
-    The interval is empty iff lo > hi.  ``target`` is the variable being
-    assigned; occurrences of its *name* in the condition read the current
-    (pre-assignment) value, while EPS stands for the candidate value.
+    The interval is empty iff lo > hi.  Every variable name in the condition,
+    the picked one's included, reads its current (pre-assignment) value in
+    ``v``, while EPS stands for the candidate value.
     """
     lo, hi = 0, None
     env = v.env()
@@ -286,7 +286,7 @@ def apply_op(v: Valuation, op: Op) -> list[Valuation]:
     if isinstance(op, Inc):
         return [v.with_variable(op.var, v.value(op.var) + 1)]
     if isinstance(op, Pick):
-        lo, hi = pick_range(op.cond, v, op.var)
+        lo, hi = pick_range(op.cond, v)
         return [v.with_variable(op.var, e) for e in range(lo, hi + 1)]
     raise ModelError(f"unknown operation {op!r}")
 

@@ -43,14 +43,6 @@ class LinearForm:
     def of(const: int = 0, **coeffs: int) -> "LinearForm":
         return LinearForm(normalize_coeffs(coeffs.items()), const)
 
-    @staticmethod
-    def constant(value: int) -> "LinearForm":
-        return LinearForm((), value)
-
-    @staticmethod
-    def variable(name: str, coeff: int = 1) -> "LinearForm":
-        return LinearForm.of(**{name: coeff})
-
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.coeffs)
 

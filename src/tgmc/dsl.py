@@ -16,7 +16,8 @@ comment)::
     spec NAME [unless UNFAIRNAME]: <formula>;
 
 Operations: ``when <guard>`` with atoms ``sv == Z`` / ``<linear form> <= var``
-combined by ``&&`` and ``!(...)``; ``set sv = Z``; ``inc var``; and
+combined by ``&&`` and ``!(...)`` (a conjunction is flat, however its
+parentheses group it); ``set sv = Z``; ``inc var``; and
 ``pick var where <atom> && ...`` whose atoms are ``a <= b [± terms]`` with
 ``eps`` the placeholder for the chosen value (every pick must bound ``eps``
 from above).
@@ -31,14 +32,21 @@ are reserved.  ``model``, ``size``, ``resilience`` and ``step`` appear once.
 The parser checks every name where it is written (see ``parse_model``);
 ``cfa.build_cfa`` checks only the step block's graph.  Parentheses and
 prefix operators nest at most ``MAX_NESTING`` deep, and a formula's tree is
-at most as high, so no recursive pass meets a deeper tree.  Parsing collects
-as many diagnostics as it can (with line:column positions) before failing;
-it never aborts the process.
+at most as high, so no recursive pass meets a deeper tree.  Every list of
+items between separators is read by ``_Parser.separated``.
+
+Parsing collects as many diagnostics as it can (with line:column positions)
+before failing; it never aborts the process.  After an error the parser
+skips to the end of the statement, or of the edge inside a step block; a
+``}`` skipped there before the next statement closes the block, and a block
+that lost an edge gets no diagnostics about its graph's shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from typing import NoReturn
 
 from .cfa import (EPS, Cfa, Edge, Guard, GuardAnd, GuardExpr, GuardNot, Inc, Op,
                   Pick, PickAtom, PickCond, SetStatus, SvEq, ThresholdLe,
@@ -221,21 +229,12 @@ class _Parser:
             self.advance()
             return tok.text
         self.fail(f"expected {role}, found {self._describe(tok)}")
-        raise AssertionError  # unreachable; fail always raises
-
-    def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return int(tok.text)
-        self.fail(f"expected integer, found {self._describe(tok)}")
-        raise AssertionError
 
     @staticmethod
     def _describe(tok: Token) -> str:
         return "end of file" if tok.kind == "eof" else repr(tok.text)
 
-    def fail(self, message: str, tok: Token | None = None):
+    def fail(self, message: str, tok: Token | None = None) -> NoReturn:
         tok = tok or self.peek()
         self.diagnostics.append(Diagnostic(tok.line, tok.col, message))
         raise _Recover()
@@ -249,6 +248,13 @@ class _Parser:
         result = parse()
         self.depth -= 1
         return result
+
+    def separated(self, sep: str, parse_item) -> list:
+        """The items of ``item (sep item)*``, each read by ``parse_item()``."""
+        items = [parse_item()]
+        while self.take(sep):
+            items.append(parse_item())
+        return items
 
     def skip_statement(self) -> None:
         """Panic recovery: skip past the next ';' (or a closing '}')."""
@@ -270,29 +276,26 @@ class _Parser:
     def parse_linear_form(self) -> LinearForm:
         coeffs: dict[str, int] = {}
         const = 0
-        first = True
         while True:
             sign = 1
             if self.take("-"):
                 sign = -1
-            elif self.take("+"):
-                sign = 1
-            elif not first:
-                break
+            else:
+                self.take("+")
             tok = self.peek()
             if tok.kind == "int":
-                value = self.expect_int()
+                self.advance()
+                value = sign * int(tok.text)
                 if self.take("*"):
                     name = self.expect_ident("parameter name")
-                    coeffs[name] = coeffs.get(name, 0) + sign * value
+                    coeffs[name] = coeffs.get(name, 0) + value
                 else:
-                    const += sign * value
+                    const += value
             elif tok.kind == "ident":
-                name = self.expect_ident("parameter name")
-                coeffs[name] = coeffs.get(name, 0) + sign
+                self.advance()
+                coeffs[tok.text] = coeffs.get(tok.text, 0) + sign
             else:
                 self.fail(f"expected linear-form term, found {self._describe(tok)}")
-            first = False
             if not (self.at("+") or self.at("-")):
                 break
         return LinearForm(normalize_coeffs(coeffs.items()), const)
@@ -309,12 +312,12 @@ class _Parser:
     # -- guards and operations ----------------------------------------------
 
     def parse_guard(self) -> GuardExpr:
-        items = [self.parse_guard_unary()]
-        while self.take("&&"):
-            items.append(self.parse_guard_unary())
-        if len(items) == 1:
-            return items[0]
-        return GuardAnd(tuple(items))
+        """A guard; a parenthesised conjunction inside a conjunction is
+        spliced into it, so no GuardAnd holds another."""
+        items = [item for unary in self.separated("&&", self.parse_guard_unary)
+                 for item in (unary.items if isinstance(unary, GuardAnd)
+                              else (unary,))]
+        return items[0] if len(items) == 1 else GuardAnd(tuple(items))
 
     def parse_guard_unary(self) -> GuardExpr:
         if self.take("!"):
@@ -351,13 +354,10 @@ class _Parser:
         if self.take("pick"):
             var = self.expect_ident("variable name")
             self.expect("where")
-            atoms = [self.parse_pick_atom()]
-            while self.take("&&"):
-                atoms.append(self.parse_pick_atom())
+            atoms = self.separated("&&", self.parse_pick_atom)
             return Pick(var, PickCond(tuple(atoms)))
         self.fail(f"expected operation (when/set/inc/pick), "
                   f"found {self._describe(self.peek())}")
-        raise AssertionError
 
     def parse_offset(self) -> LinearForm:
         """An optional ``± terms`` after a variable; zero if absent."""
@@ -396,28 +396,16 @@ class _Parser:
             premises.append(Literal(lhs.ap, not lhs.negated))
 
     def parse_or(self) -> Formula:
-        items = [self.parse_and()]
-        while self.take("||"):
-            items.append(self.parse_and())
-        if len(items) == 1:
-            return items[0]
-        return Or(tuple(items))
+        items = self.separated("||", self.parse_and)
+        return items[0] if len(items) == 1 else Or(tuple(items))
 
     def parse_and(self) -> Formula:
-        items = [self.parse_until()]
-        while self.take("&&"):
-            items.append(self.parse_until())
-        if len(items) == 1:
-            return items[0]
-        return And(tuple(items))
+        items = self.separated("&&", self.parse_until)
+        return items[0] if len(items) == 1 else And(tuple(items))
 
     def parse_until(self) -> Formula:
-        lhs = self.parse_formula_unary()
-        while self.at("U"):
-            self.advance()
-            rhs = self.parse_formula_unary()
-            lhs = Until(lhs, rhs)
-        return lhs
+        """``U`` associates to the left."""
+        return reduce(Until, self.separated("U", self.parse_formula_unary))
 
     def parse_formula_unary(self) -> Formula:
         if self.take("F"):
@@ -471,6 +459,7 @@ class _Parser:
 _DECLARATIONS = {"param": "parameter", "status": "status",
                  "local": "variable", "shared": "variable"}
 _SINGLETONS = ("model", "size", "resilience", "step")
+_STATEMENTS = {*_DECLARATIONS, *_SINGLETONS, "init", "unfair", "spec"}
 
 
 def parse_model(text: str) -> ModelDef:
@@ -497,6 +486,7 @@ def parse_model(text: str) -> ModelDef:
     initial_statuses: list[str] = []
     edges: list[Edge] = []
     step_tok: Token | None = None
+    broken_edge = False         # the graph lacks an edge: its shape says nothing
     seen_singletons: set[str] = set()
     unfairness: list[tuple[str, Formula]] = []
     specs: list[SpecDef] = []
@@ -555,9 +545,7 @@ def parse_model(text: str) -> ModelDef:
                     declared[tok.text].append(declare(name_tok, role, roles))
                 parser.expect(";")
             elif parser.take("resilience"):
-                conjuncts = [parser.parse_comparison()]
-                while parser.take("&&"):
-                    conjuncts.append(parser.parse_comparison())
+                conjuncts = parser.separated("&&", parser.parse_comparison)
                 resilience = ResilienceCondition(tuple(conjuncts))
                 use_params(tok, *(form for c in conjuncts for form in (c.lhs, c.rhs)))
                 parser.expect(";")
@@ -587,7 +575,13 @@ def parse_model(text: str) -> ModelDef:
                         op = parser.parse_op()
                         parser.expect(";")
                     except _Recover:
+                        broken_edge = True
                         parser.skip_statement()
+                        # A '}' skipped before the next statement closes the block.
+                        if parser.tokens[parser.pos - 1].text == "}" and (
+                                parser.peek().kind == "eof"
+                                or parser.peek().text in _STATEMENTS):
+                            break
                         continue
                     edges.append(Edge(src, op, dst))
                     if isinstance(op, Pick) and not op.cond.has_upper_bound():
@@ -636,9 +630,9 @@ def parse_model(text: str) -> ModelDef:
     if not initial_statuses:
         diagnostics.append(Diagnostic(1, 1, "missing 'init ...;' statement"))
     cfa: Cfa | None = None
-    if not edges:
+    if not edges and not broken_edge:
         diagnostics.append(Diagnostic(1, 1, "missing or empty 'step { ... }' block"))
-    else:
+    elif not broken_edge:
         cfa, problems = build_cfa(edges)
         for problem in problems:
             report(step_tok, problem)

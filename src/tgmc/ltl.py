@@ -218,16 +218,16 @@ def eval_formula_on_lasso(f: Formula,
             vec = [any(cv[i] for cv in child_vecs) for i in range(n)]
         elif isinstance(g, Future):
             a = sat(g.arg)
-            vec = _fixpoint(n, nxt, lambda i, v: a[i] or v[nxt[i]], start=False)
+            vec = _fixpoint(n, lambda i, v: a[i] or v[nxt[i]], start=False)
         elif isinstance(g, Globally):
             a = sat(g.arg)
-            vec = _fixpoint(n, nxt, lambda i, v: a[i] and v[nxt[i]], start=True)
+            vec = _fixpoint(n, lambda i, v: a[i] and v[nxt[i]], start=True)
         elif isinstance(g, Until):
             a, b = sat(g.lhs), sat(g.rhs)
-            vec = _fixpoint(n, nxt, lambda i, v: b[i] or (a[i] and v[nxt[i]]), start=False)
+            vec = _fixpoint(n, lambda i, v: b[i] or (a[i] and v[nxt[i]]), start=False)
         elif isinstance(g, Release):
             a, b = sat(g.lhs), sat(g.rhs)
-            vec = _fixpoint(n, nxt, lambda i, v: b[i] and (a[i] or v[nxt[i]]), start=True)
+            vec = _fixpoint(n, lambda i, v: b[i] and (a[i] or v[nxt[i]]), start=True)
         else:
             raise ModelError(f"unknown formula node {g!r}")
         memo[g] = vec
@@ -236,7 +236,7 @@ def eval_formula_on_lasso(f: Formula,
     return sat(f)[0]
 
 
-def _fixpoint(n: int, nxt: list[int], update, start: bool) -> list[bool]:
+def _fixpoint(n: int, update, start: bool) -> list[bool]:
     vec = [start] * n
     for _ in range(n + 1):
         changed = False

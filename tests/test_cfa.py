@@ -39,32 +39,32 @@ def test_pick_range_frozen_example():
     # rcvd <= eps && eps <= nsnt + f, at rcvd=1, nsnt=2, f=1: choices {1,2,3}.
     cond = PickCond((PickAtom("rcvd", EPS), PickAtom(EPS, "nsnt", LinearForm.of(f=1))))
     v = byz_valuation("V0", 1, 2, {"n": 4, "t": 1, "f": 1})
-    assert pick_range(cond, v, "rcvd") == (1, 3)
+    assert pick_range(cond, v) == (1, 3)
 
 
 def test_pick_range_empty_and_edge_cases():
     cond = PickCond((PickAtom("rcvd", EPS), PickAtom(EPS, "nsnt")))
-    lo, hi = pick_range(cond, byz_valuation("V0", 5, 2), "rcvd")
+    lo, hi = pick_range(cond, byz_valuation("V0", 5, 2))
     assert lo > hi                                        # 5 <= e <= 2: empty
     # eps <= eps + off: tautological for off >= 0, contradictory below.
     tauto = PickCond((PickAtom(EPS, EPS), PickAtom(EPS, "nsnt")))
-    assert pick_range(tauto, byz_valuation("V0", 0, 2), "rcvd") == (0, 2)
-    contra = PickCond((PickAtom(EPS, EPS, LinearForm.constant(-1)),
+    assert pick_range(tauto, byz_valuation("V0", 0, 2)) == (0, 2)
+    contra = PickCond((PickAtom(EPS, EPS, LinearForm.of(-1)),
                        PickAtom(EPS, "nsnt")))
-    lo, hi = pick_range(contra, byz_valuation("V0", 0, 2), "rcvd")
+    lo, hi = pick_range(contra, byz_valuation("V0", 0, 2))
     assert lo > hi
     # var <= var' + off atoms gate the whole choice.
     gated = PickCond((PickAtom("rcvd", "nsnt"), PickAtom(EPS, "nsnt")))
-    lo, hi = pick_range(gated, byz_valuation("V0", 5, 2), "rcvd")
+    lo, hi = pick_range(gated, byz_valuation("V0", 5, 2))
     assert lo > hi
-    assert pick_range(gated, byz_valuation("V0", 1, 2), "rcvd") == (0, 2)
+    assert pick_range(gated, byz_valuation("V0", 1, 2)) == (0, 2)
 
 
 def test_pick_range_requires_upper_bound():
     unbounded = PickCond((PickAtom("rcvd", EPS),))
     assert not unbounded.has_upper_bound()
     with pytest.raises(ModelError):
-        pick_range(unbounded, byz_valuation("V0", 0, 0), "rcvd")
+        pick_range(unbounded, byz_valuation("V0", 0, 0))
 
 
 # -- operations ----------------------------------------------------------------

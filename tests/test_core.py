@@ -26,13 +26,13 @@ def test_of_and_eval():
 
 def test_eval_unbound_parameter():
     with pytest.raises(ModelError):
-        eval_linear_form(LinearForm.variable("n"), {"t": 1})
+        eval_linear_form(LinearForm.of(n=1), {"t": 1})
 
 
 def test_render_examples():
     assert LinearForm.of(1, n=1, t=-3).render() == "n - 3*t + 1"
-    assert LinearForm.constant(0).render() == "0"
-    assert LinearForm.constant(-2).render() == "-2"
+    assert LinearForm.of(0).render() == "0"
+    assert LinearForm.of(-2).render() == "-2"
     assert LinearForm.of(t=-1).render() == "-t"
     assert LinearForm.of(-1, n=1).render() == "n - 1"
     assert LinearForm.of(f=1, t=1).render() == "f + t"
@@ -52,15 +52,15 @@ def test_render_parses_stable_structure(form, env):
     (">=", False), (">", False),
 ])
 def test_comparison_ops(op, expected):
-    comp = Comparison(LinearForm.variable("t"), op, LinearForm.variable("n"))
+    comp = Comparison(LinearForm.of(t=1), op, LinearForm.of(n=1))
     assert comp.holds({"t": 1, "n": 2}) is expected
 
 
 def test_resilience_condition():
     rc = ResilienceCondition((
-        Comparison(LinearForm.variable("n"), ">", LinearForm.of(t=3)),
-        Comparison(LinearForm.variable("f"), "<=", LinearForm.variable("t")),
-        Comparison(LinearForm.variable("t"), ">", LinearForm.constant(0)),
+        Comparison(LinearForm.of(n=1), ">", LinearForm.of(t=3)),
+        Comparison(LinearForm.of(f=1), "<=", LinearForm.of(t=1)),
+        Comparison(LinearForm.of(t=1), ">", LinearForm.of(0)),
     ))
     assert check_resilience(rc, {"n": 7, "t": 2, "f": 2})
     assert not check_resilience(rc, {"n": 7, "t": 3, "f": 2})   # 7 > 9 fails

@@ -1,10 +1,11 @@
 """Modeling-language parser: tokens, diagnostics, round-trips, bindings."""
 
 import random
+from importlib import resources
 
 import pytest
 
-from tgmc.cfa import Guard, GuardNot, Pick, SvEq, ThresholdLe
+from tgmc.cfa import Guard, GuardAnd, GuardNot, Pick, SvEq, ThresholdLe
 from tgmc.core import LinearForm, ModelError
 from tgmc.dsl import (MAX_NESTING, ModelSyntaxError, format_model,
                       parse_model, parse_params_binding, tokenize)
@@ -53,7 +54,7 @@ def test_parse_minimal_model():
     m = parse_model(MINIMAL)
     assert m.name == "tiny"
     assert m.params == ("n", "t")
-    assert m.size == LinearForm.variable("n")
+    assert m.size == LinearForm.of(n=1)
     assert m.statuses == ("V0", "V1", "AC")
     assert m.initial_statuses == ("V0", "V1")
     assert m.locals == ("rcvd",)
@@ -208,6 +209,44 @@ def test_formulas_round_trip_through_formatter():
         assert parse_model(format_model(model)) == model
 
 
+NEGATED_GUARD = "!(t + 1 <= rcvd)"
+GUARD_ATOMS = ("sv == V0", "sv == AC", "t + 1 <= rcvd", "n - 2*t <= nsnt",
+               "-1 + 3*t - n <= rcvd", "0 <= nsnt")
+
+
+def random_guard_text(rng: random.Random, depth: int) -> str:
+    """Guard source with ``!( )``, redundant parentheses and ``&&`` nested
+    at random, so a conjunction may hold a parenthesised conjunction."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(GUARD_ATOMS)
+    kind = rng.randrange(3)
+    if kind == 2:
+        return " && ".join(random_guard_text(rng, depth - 1)
+                           for _ in range(rng.randrange(2, 4)))
+    return ("!(", "(")[kind] + random_guard_text(rng, depth - 1) + ")"
+
+
+def nested_conjunctions(guard) -> bool:
+    if isinstance(guard, GuardNot):
+        return nested_conjunctions(guard.item)
+    if isinstance(guard, GuardAnd):
+        return any(isinstance(item, GuardAnd) or nested_conjunctions(item)
+                   for item in guard.items)
+    return False
+
+
+def test_guards_round_trip_through_formatter():
+    rng = random.Random("guard-render-parse")
+    found = "(sv == V1 && t + 1 <= rcvd) && sv == V1"
+    model = parse_model(MINIMAL.replace(NEGATED_GUARD, found))
+    assert model.cfa.edges[3].op == Guard(GuardAnd(
+        (SvEq("V1"), ThresholdLe(LinearForm.of(1, t=1), "rcvd"), SvEq("V1"))))
+    for text in [found] + [random_guard_text(rng, 4) for _ in range(500)]:
+        model = parse_model(MINIMAL.replace(NEGATED_GUARD, text))
+        assert not nested_conjunctions(model.cfa.edges[3].op.expr), text
+        assert parse_model(format_model(model)) == model, text
+
+
 def test_builtin_structure():
     byz = load_builtin("byz")
     assert byz.params == ("n", "t", "f")
@@ -217,13 +256,13 @@ def test_builtin_structure():
     assert len(byz.cfa.edges) == 14
     clean = load_builtin("clean")
     assert clean.params == ("n", "t")
-    assert clean.size == LinearForm.variable("n")
+    assert clean.size == LinearForm.of(n=1)
     assert len(clean.cfa.edges) == 11
     symm = load_builtin("symm")
     assert symm.params == ("n", "t", "fp", "fs")
     assert symm.size == LinearForm.of(n=1, fp=-1)
     omit = load_builtin("omit")
-    assert omit.size == LinearForm.variable("n")
+    assert omit.size == LinearForm.of(n=1)
     for name in BUILTIN_NAMES:
         model = load_builtin(name)
         assert model.spec_names() == ("unforg", "corr", "relay")
@@ -270,6 +309,63 @@ def test_malformed_step_blocks_rejected(extra, expected):
          for message in expected]
 
 
+STEP_BLOCK = MINIMAL[MINIMAL.index("step {"):MINIMAL.index("unfair")]
+
+
+@pytest.mark.parametrize("old,new,expected", [
+    ("spec safe:", "spec safe", ["17:11: expected ':', found 'all'"]),
+    ("init V0, V1;", "init V0, ;", ["7:10: expected status name, found ';'"]),
+    ("t > 0;", "t;", ["4:22: expected comparison operator, found ';'"]),
+    ("when !(t + 1 <= rcvd)", "when (t + 1 <= rcvd && sv != V1)",
+     ["14:45: guards use '!(sv == Z)' rather than 'sv != Z'"]),
+    ("when !(t + 1 <= rcvd)", "frob nsnt",
+     ["14:19: expected operation (when/set/inc/pick), found 'frob'"]),
+    ("spec safe: all(sv != V1) -> G all(sv != AC)", "spec safe: ",
+     ["17:12: expected formula, found ';'"]),
+    ("all(sv != V1) ->", "all(sv < V1) ->",
+     ["17:19: expected '==' or '!=', found '<'"]),
+    ("G all(sv != AC)", "G all(rcvd < nsnt)",
+     ["17:31: comparisons between variables are existential: "
+      "use 'some(x [± offset] < y)'"]),
+    (MINIMAL[MINIMAL.index("}\nunfair"):], "", ["15:1: unterminated step block"]),
+    ("size n;", "size n;\nfrob { a; b; } c;", ["6:1: unknown statement 'frob'"]),
+    ("model tiny;", "", ["1:1: missing 'model NAME;' statement"]),
+    ("size n;", "", ["1:1: missing 'size <linear form>;' statement"]),
+    ("status V0, V1, AC;", "",
+     ["1:1: missing 'status ...;' statement",
+      "7:1: initial status 'V0' is not declared",
+      "7:1: initial status 'V1' is not declared",
+      "13:3: edge q2->qF: unknown status 'AC'",
+      "17:1: unknown status 'V1'", "17:1: unknown status 'AC'",
+      "18:1: unknown status 'V1'", "18:1: unknown status 'AC'"]),
+    ("init V0, V1;", "", ["1:1: missing 'init ...;' statement"]),
+    (STEP_BLOCK, "step { }\n", ["1:1: missing or empty 'step { ... }' block"]),
+])
+def test_parser_diagnostics(old, new, expected):
+    """One malformed input per parser message, pinned with the whole list
+    of diagnostics it gives."""
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(MINIMAL.replace(old, new))
+    assert [d.render() for d in err.value.diagnostics] == expected
+
+
+BYZ_SOURCE = (resources.files("tgmc") / "models" / "byz.tg").read_text(
+    encoding="utf-8")
+
+
+@pytest.mark.parametrize("old,new,expected", [
+    # The broken edge is the block's last: its '}' still ends the block.
+    ("set sv = SE;\n}", "set sv = SE\n}", "30:1: expected ';', found '}'"),
+    # A dropped edge leaves a graph whose shape says nothing.
+    ("from q2 to q3 : inc nsnt;", "from q2 to q3 : frob nsnt;",
+     "18:19: expected operation (when/set/inc/pick), found 'frob'"),
+])
+def test_broken_edge_is_one_diagnostic(old, new, expected):
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(BYZ_SOURCE.replace(old, new))
+    assert [d.render() for d in err.value.diagnostics] == [expected]
+
+
 def test_names_are_checked_where_they_are_written():
     bad = (MINIMAL.replace("status V0, V1, AC;", "status V0, V1, AC, V1;")
                   .replace("init V0, V1;", "init V0, C;")
@@ -308,9 +404,6 @@ def test_guard_only_over_declared_names():
     with pytest.raises(ModelSyntaxError) as err:
         parse_model(bad)
     assert "other" in str(err.value)
-
-
-NEGATED_GUARD = "!(t + 1 <= rcvd)"
 
 
 def nest(shape, depth):

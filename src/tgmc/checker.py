@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import time
+from array import array
 from dataclasses import dataclass
 
 from .buchi import BuchiAutomaton, build_buchi
@@ -85,42 +86,52 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # Generic nested DFS (blue/red with early cycle detection).
 
-_CYAN, _BLUE, _RED = 1, 2, 3
+_CYAN, _BLUE, _RED = 1, 2, 3      # 0: not stored
 
 
 def nested_dfs(initial_nodes, successors, is_accepting,
                max_stored: int | None = None):
     """Find an accepting lasso, or certify there is none.
 
-    Returns (result, stored) where stored is the number of distinct nodes
-    colored, and result is either None (no accepting cycle reachable) or
-    (prefix_nodes, cycle_nodes) with the last cycle node having an edge back
-    to the first cycle node.  Deterministic for deterministic inputs.  Raises
-    ResourceCapExceeded when more than ``max_stored`` nodes would be stored.
-    A node is cyan while on the blue stack, then blue, or red once a red
-    search has passed it.
+    Nodes are non-negative ints: a node's colour is the byte at its index
+    in a ``bytearray``, which doubles when a node falls past its end, so
+    node ids should be dense.  Returns (result, stored) where stored is the
+    number of distinct nodes colored, and result is either None (no
+    accepting cycle reachable) or (prefix_nodes, cycle_nodes) with the last
+    cycle node having an edge back to the first cycle node.  Deterministic
+    for deterministic inputs.  Raises ResourceCapExceeded when more than
+    ``max_stored`` nodes would be stored.  A node is cyan while on the blue
+    stack, then blue, or red once a red search has passed it.
     """
     cap = float("inf") if max_stored is None else max_stored
-    colors: dict = {}
+    colors = bytearray(1024)
+    stored = 0
     for start in initial_nodes:
-        if start in colors:
+        _fit(colors, start)
+        if colors[start]:
             continue
         colors[start] = _CYAN
-        if len(colors) > cap:
-            raise ResourceCapExceeded(len(colors))
+        stored += 1
+        if stored > cap:
+            raise ResourceCapExceeded(stored)
         stack = [(start, iter(successors(start)))]
         while stack:
             node, it = stack[-1]
             for child in it:
-                color = colors.get(child)
+                try:
+                    color = colors[child]
+                except IndexError:
+                    _fit(colors, child)
+                    color = 0
                 if color == _CYAN and (is_accepting(node) or is_accepting(child)):
                     chain = [frame[0] for frame in stack]
                     at = chain.index(child)
-                    return (chain[:at], chain[at:]), len(colors)
-                if color is None:
+                    return (chain[:at], chain[at:]), stored
+                if not color:
                     colors[child] = _CYAN
-                    if len(colors) > cap:
-                        raise ResourceCapExceeded(len(colors))
+                    stored += 1
+                    if stored > cap:
+                        raise ResourceCapExceeded(stored)
                     stack.append((child, iter(successors(child))))
                     break
             else:
@@ -132,11 +143,19 @@ def nested_dfs(initial_nodes, successors, is_accepting,
                         chain = [frame[0] for frame in stack] + [node]
                         at = chain.index(target)
                         cycle = chain[at:] + red_path[1:]
-                        return (chain[:at], cycle), len(colors)
+                        return (chain[:at], cycle), stored
                     colors[node] = _RED
                 else:
                     colors[node] = _BLUE
-    return None, len(colors)
+    return None, stored
+
+
+def _fit(colors: bytearray, node: int) -> None:
+    """Double ``colors`` until ``node`` indexes it; the new slots are 0."""
+    size = len(colors)
+    while size <= node:
+        size *= 2
+    colors.extend(bytes(size - len(colors)))
 
 
 def _red_search(seed, successors, colors):
@@ -171,12 +190,13 @@ class Product:
 
     A state's *letter* is the bitmask of the propositions true in it (bit i
     for ``ba.aps[i]``).  Each distinct letter gets a small letter id when it
-    first appears, and ``_letter[gid]`` holds the letter id of state gid, or
-    -1 until the state is labelled.  The row ``_moves[q][lid]`` lists q's
-    automaton successors whose label letter ``lid`` meets, in ``ba.succ[q]``
-    order; it is filled for every q when the letter appears.  So expanding
-    a node reads, per Kripke edge, one slot and one row, and the rows grow
-    with the distinct letters seen, not with the 2^|aps| possible ones.
+    first appears, and ``_letter[gid]``, an ``array('i')`` by gid, holds the
+    letter id of state gid, or -1 until the state is labelled.  The row
+    ``_moves[q][lid]`` lists q's automaton successors whose label letter
+    ``lid`` meets, in ``ba.succ[q]`` order; it is filled for every q when
+    the letter appears.  So expanding a node reads, per Kripke edge, one
+    slot and one row, and the rows grow with the distinct letters seen, not
+    with the 2^|aps| possible ones.
     """
 
     def __init__(self, inst: Instance, ba: BuchiAutomaton):
@@ -185,7 +205,7 @@ class Product:
         self.nq = max(ba.n_states(), 1)
         self._letter_of = inst.compile_ap(ba.aps)
         self._accept_flags = [q in ba.accepting for q in range(ba.n_states())]
-        self._letter: list[int] = []            # gid -> letter id, or -1
+        self._letter = array("i")               # gid -> letter id, or -1
         self._letter_ids: dict[int, int] = {}    # letter -> letter id
         self._letters: list[int] = []            # letter id -> letter
         self._moves: list[list[list[int]]] = [[] for _ in ba.succ]
@@ -195,7 +215,7 @@ class Product:
         """Give every state the instance has interned a slot in ``_letter``."""
         missing = len(self.inst.states) - len(self._letter)
         if missing:
-            self._letter.extend([-1] * missing)
+            self._letter.extend(array("i", [-1]) * missing)
 
     def _label(self, gid: int) -> int:
         """Label state ``gid``: its letter id, assigned on the first visit."""

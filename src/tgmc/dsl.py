@@ -592,11 +592,13 @@ def parse_model(text: str) -> ModelDef:
             elif parser.take("unfair"):
                 name_tok = parser.peek()
                 parser.expect_ident("unfairness name")
+                # Declared before its formula is read, so a broken formula
+                # does not also make every spec that names it a misuse.
+                unfair_name = declare(name_tok, "unfairness name", unfair_names)
                 parser.expect(":")
                 formula = parser.parse_formula()
                 parser.expect(";")
-                unfairness.append((declare(name_tok, "unfairness name",
-                                           unfair_names), formula))
+                unfairness.append((unfair_name, formula))
                 use_formula(tok, formula)
             elif parser.take("spec"):
                 name_tok = parser.peek()

@@ -23,6 +23,14 @@ tuple view ``(procs, shareds)`` that counterexamples, traces and replay
 read, under symmetry with the processes sorted; ``encode`` is its
 inverse.
 
+The state graph is built on demand and shared by every search over the
+instance.  States are interned to dense ids (gids).  The successor ids of
+every expanded state lie back to back in one flat ``array('i')``; since
+states are expanded in search order, not gid order, an offset (``array('q')``)
+and a length (``array('i')``) per gid find each state's run.  So a state
+costs its packed int, its slot in the id dict and in ``states``, 12 bytes
+of offset and length, and 4 bytes per successor.
+
 Parameters are factored out of states: every state of an instance shares the
 instance's binding, so transitions preserve parameters by construction.
 
@@ -36,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from array import array
 from collections import Counter
 from collections.abc import Callable, Sequence
 
@@ -94,10 +103,14 @@ class Instance:
         # under symmetry one int each, raw (entry id delta, shareds id delta).
         self._step_cache: dict[tuple[int, int], tuple] = {}
         # The state graph, built on demand and shared by every search over
-        # this instance: states interned to dense ids, successor ids per id.
+        # this instance: states interned to dense ids (gids), and the
+        # successor ids of every expanded state as one run of ``_succ``, at
+        # offset ``_succ_at[gid]`` (-1 until expanded), ``_succ_len[gid]`` long.
         self.states: list[int] = []
         self._state_ids: dict[int, int] = {}
-        self._successor_ids: list[tuple[int, ...] | None] = []
+        self._succ = array("i")
+        self._succ_at = array("q")
+        self._succ_len = array("i")
 
     # -- packing --------------------------------------------------------------
 
@@ -253,20 +266,22 @@ class Instance:
             gid = len(self.states)
             self._state_ids[state] = gid
             self.states.append(state)
-            self._successor_ids.append(None)
+            self._succ_at.append(-1)
+            self._succ_len.append(0)
         return gid
 
-    def successor_ids(self, gid: int) -> tuple[int, ...]:
+    def successor_ids(self, gid: int) -> Sequence[int]:
         """Ids of the successors of state ``gid``, in ``successors`` order;
-        ``successors`` runs at most once per state."""
-        succ = self._successor_ids[gid]
-        if succ is None:
-            # From a list, the tuple is allocated at its final size; grown
-            # from a generator it is resized, which fragments the heap.
-            succ = tuple([self.state_id(s)
-                          for s in self.successors(self.states[gid])])
-            self._successor_ids[gid] = succ
-        return succ
+        ``successors`` runs at most once per state.  The first call returns
+        the list it stored, later ones a slice of the flat store."""
+        at = self._succ_at[gid]
+        if at >= 0:
+            return self._succ[at:at + self._succ_len[gid]]
+        ids = [self.state_id(s) for s in self.successors(self.states[gid])]
+        self._succ_at[gid] = len(self._succ)
+        self._succ_len[gid] = len(ids)
+        self._succ.extend(ids)
+        return ids
 
     # -- labeling -------------------------------------------------------------
 

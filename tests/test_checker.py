@@ -69,8 +69,21 @@ def test_nested_dfs_fixed_graphs():
 def test_nested_dfs_respects_cap():
     succ = {i: (i + 1,) for i in range(100)}
     succ[100] = ()
-    with pytest.raises(ResourceCapExceeded):
+    with pytest.raises(ResourceCapExceeded) as cap:
         nested_dfs((0,), lambda v: succ[v], lambda v: False, max_stored=10)
+    assert cap.value.stored == 11
+
+
+def test_nested_dfs_on_sparse_node_ids():
+    # Colours are indexed by node: a far node grows the table, so does a
+    # node equal to a power-of-two size, and a node past its end is not
+    # stored.
+    succ = {0: (1_000_003,), 1_000_003: (0, 1 << 21), 1 << 21: ()}
+    result, stored = run_nested(0, succ, (0,), {1_000_003})
+    validate_found(result, succ, (0,), {1_000_003})
+    assert stored == 2
+    result, stored = run_nested(0, succ, (1 << 21, 0), set())
+    assert result is None and stored == 3
 
 
 def test_nested_dfs_agrees_with_scc_oracle():

@@ -138,6 +138,16 @@ def test_undeclared_unless_reported():
     assert "nothing" in str(err.value)
 
 
+def test_broken_unfair_formula_still_declares_its_name():
+    # The spec that names `starving` in `unless` is not a second error.
+    bad = MINIMAL.replace("F G some(rcvd < nsnt)", "F G all(rcvd < nsnt)")
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(bad)
+    assert [d.render() for d in err.value.diagnostics] == [
+        "16:22: comparisons between variables are existential: "
+        "use 'some(x [± offset] < y)'"]
+
+
 def test_unbounded_pick_rejected():
     bad = MINIMAL.replace("pick rcvd where rcvd <= eps && eps <= nsnt",
                           "pick rcvd where rcvd <= eps")

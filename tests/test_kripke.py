@@ -7,11 +7,13 @@ import pytest
 from oracles import (eval_atomic_prop, multiset_count, naive_step_successors,
                      reference_initial_states, reference_successors)
 from tgmc import kripke
+from tgmc.buchi import build_buchi
+from tgmc.checker import Product, combined_formula, nested_dfs
 from tgmc.core import LinearForm, ModelError, make_valuation
 from tgmc.dsl import parse_model
 from tgmc.harness import TRACE_MAGIC, load_builtin, parse_trace
 from tgmc.kripke import Instance
-from tgmc.ltl import LessProp, StatusProp
+from tgmc.ltl import LessProp, StatusProp, negate_to_nnf
 
 
 def byz_instance(symmetry=True, env=None):
@@ -313,3 +315,33 @@ def test_a_full_field_raises_instead_of_wrapping(monkeypatch):
     with pytest.raises(ModelError, match="shared vectors"):
         for value in range(300):
             inst.encode((((0, (0,)), (0, (0,))), (value,)))
+
+
+@pytest.mark.parametrize("symmetry", [True, False], ids=["symmetric", "raw"])
+def test_flat_successor_store_matches_successors(monkeypatch, symmetry):
+    """Two specs in a row over one instance: the second reads the runs the
+    first stored, and every run reads back as the successors' ids."""
+    model = load_builtin("byz")
+    inst = Instance(model, {"n": 4, "t": 1, "f": 1}, symmetry=symmetry)
+    expanded = []
+    successors = Instance.successors
+
+    def counting_successors(self, state):
+        expanded.append(state)
+        return successors(self, state)
+
+    monkeypatch.setattr(Instance, "successors", counting_successors)
+    sizes = []
+    for spec in ("unforg", "corr"):
+        ba = build_buchi(negate_to_nnf(combined_formula(model, spec, True)))
+        product = Product(inst, ba)
+        nested_dfs(product.initial_nodes(), product.successors,
+                   product.is_accepting)
+        sizes.append(len(expanded))
+    assert 0 < sizes[0] < sizes[1]
+    assert len(set(expanded)) == len(expanded)
+    monkeypatch.setattr(Instance, "successors", successors)
+    for state in expanded:
+        gid = inst.state_id(state)
+        assert list(inst.successor_ids(gid)) == \
+            [inst.state_id(s) for s in inst.successors(state)]

@@ -68,10 +68,14 @@ class Verdict:
     ``inconclusive`` (it stopped at the state cap).  The counts are read
     once the search ends, whichever way: ``product_states`` distinct product
     nodes stored, ``kripke_states`` distinct system states this search
-    reached (also those an earlier check of the same instance built), and
+    labelled (also those an earlier check of the same instance built), and
     ``transitions`` product edges generated over all expansions, the red
     search's re-expansions of already stored nodes included (so an edge can
-    be counted more than once)."""
+    be counted more than once).  The product labels every successor of a
+    node it expands, also a state that no automaton move enters, so
+    ``kripke_states`` can exceed ``product_states``: ``byz`` at
+    n=7,t=2,f=3, spec ``relay``, stores 40 product states and labels 52
+    system states."""
 
     status: str                      # "holds" | "violated" | "inconclusive"
     formula: Formula                 # the checked formula (spec, or spec ∨ unfairness)
@@ -193,10 +197,11 @@ class Product:
     first appears, and ``_letter[gid]``, an ``array('i')`` by gid, holds the
     letter id of state gid, or -1 until the state is labelled.  The row
     ``_moves[q][lid]`` lists q's automaton successors whose label letter
-    ``lid`` meets, in ``ba.succ[q]`` order; it is filled for every q when
-    the letter appears.  So expanding a node reads, per Kripke edge, one
-    slot and one row, and the rows grow with the distinct letters seen, not
-    with the 2^|aps| possible ones.
+    ``lid`` meets, in ``ba.succ[q]`` order, and the last row, ``_moves[-1]``,
+    does the same for ``ba.initial``; every row is filled when the letter
+    appears.  So expanding a node, or the initial states, reads one slot
+    and one row entry per Kripke state, and the rows grow with the distinct
+    letters seen, not with the 2^|aps| possible ones.
     """
 
     def __init__(self, inst: Instance, ba: BuchiAutomaton):
@@ -208,14 +213,10 @@ class Product:
         self._letter = array("i")               # gid -> letter id, or -1
         self._letter_ids: dict[int, int] = {}    # letter -> letter id
         self._letters: list[int] = []            # letter id -> letter
-        self._moves: list[list[list[int]]] = [[] for _ in ba.succ]
+        # One row per automaton state, then the row of the initial states.
+        self._entered = [*ba.succ, ba.initial]
+        self._moves: list[list[list[int]]] = [[] for _ in self._entered]
         self.transitions = 0
-
-    def _grow(self) -> None:
-        """Give every state the instance has interned a slot in ``_letter``."""
-        missing = len(self.inst.states) - len(self._letter)
-        if missing:
-            self._letter.extend(array("i", [-1]) * missing)
 
     def _label(self, gid: int) -> int:
         """Label state ``gid``: its letter id, assigned on the first visit."""
@@ -224,39 +225,38 @@ class Product:
         if lid is None:
             lid = self._letter_ids[letter] = len(self._letters)
             self._letters.append(letter)
-            for row, succ in zip(self._moves, self.ba.succ):
-                row.append(self.ba.entered(succ, letter))
+            for row, states in zip(self._moves, self._entered):
+                row.append(self.ba.entered(states, letter))
         self._letter[gid] = lid
         return lid
 
     def initial_nodes(self) -> list[int]:
-        gids = [self.inst.state_id(state) for state in self.inst.initial_states()]
-        self._grow()
-        nodes = []
-        for gid in gids:
-            lid = self._letter[gid]
-            if lid < 0:
-                lid = self._label(gid)
-            nodes += [gid * self.nq + q
-                      for q in self.ba.entered(self.ba.initial, self._letters[lid])]
-        return nodes
+        return self._expand([self.inst.state_id(state)
+                             for state in self.inst.initial_states()],
+                            self._moves[-1])
 
     def successors(self, node: int) -> list[int]:
         gid, q = divmod(node, self.nq)
-        succ = self.inst.successor_ids(gid)
-        self._grow()
+        out = self._expand(self.inst.successor_ids(gid), self._moves[q])
+        self.transitions += len(out)
+        return out
+
+    def _expand(self, gids, row: list[list[int]]) -> list[int]:
+        """The nodes (gid2, q2) for each gid2 in ``gids`` and each q2 that
+        ``row`` lists for gid2's letter, labelling states on first sight."""
         letter = self._letter
-        row = self._moves[q]
+        missing = len(self.inst.states) - len(letter)
+        if missing:     # a slot for every state the instance has interned
+            letter.extend(array("i", [-1]) * missing)
         nq = self.nq
         out = []
-        for gid2 in succ:
+        for gid2 in gids:
             lid = letter[gid2]
             if lid < 0:
                 lid = self._label(gid2)
             base = gid2 * nq
             for q2 in row[lid]:
                 out.append(base + q2)
-        self.transitions += len(out)
         return out
 
     def is_accepting(self, node: int) -> bool:

@@ -32,8 +32,17 @@ are reserved.  ``model``, ``size``, ``resilience`` and ``step`` appear once.
 The parser checks every name where it is written (see ``parse_model``);
 ``cfa.build_cfa`` checks only the step block's graph.  Parentheses and
 prefix operators nest at most ``MAX_NESTING`` deep, and a formula's tree is
-at most as high, so no recursive pass meets a deeper tree.  Every list of
-items between separators is read by ``_Parser.separated``.
+at most as high, so no recursive pass meets a deeper tree.
+
+``tokenize`` reads the text with one token table, ``_TOKEN``: a regular
+expression whose alternatives are a newline, blanks and comments, ASCII
+integers, names, the symbols (longest first) and any other character, which
+is a diagnostic.  A token's line and column come from its offset, so the end
+of file is after the last character, a comment's included.  One reader,
+``_Parser.separated``, reads all seven ``item (sep item)*`` lists: the names
+of ``param``, ``status``, ``local``, ``shared`` and ``init``, resilience
+conjuncts, guard conjunctions, pick conditions, and a formula's ``||``,
+``&&`` and ``U`` chains.
 
 Parsing collects as many diagnostics as it can (with line:column positions)
 before failing; it never aborts the process.  After an error the parser
@@ -44,23 +53,27 @@ that lost an edge gets no diagnostics about its graph's shape.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import NoReturn
 
 from .cfa import (EPS, Cfa, Edge, Guard, GuardAnd, GuardExpr, GuardNot, Inc, Op,
                   Pick, PickAtom, PickCond, SetStatus, SvEq, ThresholdLe,
                   build_cfa, op_names)
-from .core import (Comparison, LinearForm, ModelError, ParamEnv,
+from .core import (COMPARISON_OPS, Comparison, LinearForm, ModelError, ParamEnv,
                    ResilienceCondition, normalize_coeffs, parse_int)
 from .ltl import (And, Formula, Future, Globally, LessProp, Literal, Or,
                   StatusProp, Until, children, disjoin, formula_aps, render_formula)
 
-RESERVED_NAMES = {
-    "model", "param", "resilience", "size", "status", "init", "local", "shared",
-    "step", "from", "to", "when", "set", "inc", "pick", "where", "unfair",
-    "spec", "unless", "all", "some", "sv", "eps", "F", "G", "U", "R",
-    "true", "false",
+# Declaring keyword -> the role of the names it declares.
+_DECLARATIONS = {"param": "parameter", "status": "status",
+                 "local": "variable", "shared": "variable"}
+_SINGLETONS = ("model", "size", "resilience", "step")
+_STATEMENTS = {*_DECLARATIONS, *_SINGLETONS, "init", "unfair", "spec"}
+RESERVED_NAMES = _STATEMENTS | {
+    "from", "to", "when", "set", "inc", "pick", "where", "unless",
+    "all", "some", "sv", "eps", "F", "G", "U", "R", "true", "false",
 }
 
 MAX_NESTING = 100   # the builtin models' formulas and guards nest 4 deep
@@ -132,55 +145,42 @@ class Token:
     line: int
     col: int
 
+# Longest first: the token table tries them in this order.
 _SYMBOLS = ("&&", "||", "->", "<=", ">=", "==", "!=",
             "<", ">", "=", "!", "(", ")", "{", "}", ";", ":", ",", "+", "-", "*")
+
+# The token table: the first alternative that matches at a position wins.
+# A name is a run of word characters (``str.isalnum()`` or ``_``); a run
+# that does not start with a letter or ``_`` is cut to its first character,
+# which is unexpected.  A tab and a ``\r`` are one column each.
+_TOKEN = re.compile("|".join([
+    r"(?P<newline>\n)",
+    r"(?P<blank>[ \t\r]+|#[^\n]*)",
+    r"(?P<int>[0-9]+)",
+    r"(?P<ident>\w+)",
+    "(?P<sym>%s)" % "|".join(map(re.escape, _SYMBOLS)),
+    r"(?P<other>.)",
+]))
 
 
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if "0" <= ch <= "9":
-            start = i
-            while i < n and "0" <= text[i] <= "9":
-                i += 1
-            tokens.append(Token("int", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("ident", text[start:i], line, col))
-            col += i - start
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            diagnostics.append(Diagnostic(line, col, f"unexpected character {ch!r}"))
-            i += 1
-            col += 1
-    tokens.append(Token("eof", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        kind, start, pos = match.lastgroup, match.start(), match.end()
+        col = start - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind == "ident" and not (text[start].isalpha() or text[start] == "_"):
+            kind, pos = "other", start + 1
+        if kind == "other":
+            diagnostics.append(Diagnostic(line, col,
+                                          f"unexpected character {text[start]!r}"))
+        elif kind in ("int", "ident", "sym"):
+            tokens.append(Token(kind, text[start:pos], line, col))
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens, diagnostics
 
 
@@ -303,7 +303,7 @@ class _Parser:
     def parse_comparison(self) -> Comparison:
         lhs = self.parse_linear_form()
         tok = self.peek()
-        if tok.text not in ("<", "<=", "==", "!=", ">=", ">"):
+        if tok.text not in COMPARISON_OPS:
             self.fail(f"expected comparison operator, found {self._describe(tok)}")
         self.advance()
         rhs = self.parse_linear_form()
@@ -455,13 +455,6 @@ class _Parser:
 # ---------------------------------------------------------------------------
 # Statement-level parsing and name checking.
 
-# Declaring keyword -> the role of the names it declares.
-_DECLARATIONS = {"param": "parameter", "status": "status",
-                 "local": "variable", "shared": "variable"}
-_SINGLETONS = ("model", "size", "resilience", "step")
-_STATEMENTS = {*_DECLARATIONS, *_SINGLETONS, "init", "unfair", "spec"}
-
-
 def parse_model(text: str) -> ModelDef:
     """Parse a model source into a validated ModelDef.
 
@@ -491,15 +484,6 @@ def parse_model(text: str) -> ModelDef:
     unfairness: list[tuple[str, Formula]] = []
     specs: list[SpecDef] = []
 
-    def name_tokens(role: str):
-        """The tokens of a comma-separated list of names."""
-        while True:
-            tok = parser.peek()
-            parser.expect_ident(f"{role} name")
-            yield tok
-            if not parser.take(","):
-                return
-
     def report(tok: Token, message: str) -> None:
         diagnostics.append(Diagnostic(tok.line, tok.col, message))
 
@@ -512,6 +496,19 @@ def parse_model(text: str) -> ModelDef:
             report(tok, f"name {tok.text!r} is declared in more than one role")
         table.setdefault(tok.text, role)
         return tok.text
+
+    def declare_listed(keyword: str) -> None:
+        """Read one name of a ``keyword`` list and declare it."""
+        name_tok, role = parser.peek(), _DECLARATIONS[keyword]
+        parser.expect_ident(f"{role} name")
+        declared[keyword].append(declare(name_tok, role, roles))
+
+    def record_initial(init_tok: Token) -> None:
+        """Read one name of an ``init`` list, to be checked as a status."""
+        status = parser.expect_ident("status name")
+        initial_statuses.append(status)
+        uses.append((init_tok, "status", status,
+                     f"initial status {status!r} is not declared"))
 
     def use(tok: Token, pairs, prefix: str = "") -> None:
         uses.extend((tok, role, n, f"{prefix}unknown {role} {n!r}")
@@ -540,9 +537,7 @@ def parse_model(text: str) -> ModelDef:
                 parser.expect(";")
             elif tok.kind == "ident" and tok.text in _DECLARATIONS:
                 parser.advance()
-                role = _DECLARATIONS[tok.text]
-                for name_tok in name_tokens(role):
-                    declared[tok.text].append(declare(name_tok, role, roles))
+                parser.separated(",", partial(declare_listed, tok.text))
                 parser.expect(";")
             elif parser.take("resilience"):
                 conjuncts = parser.separated("&&", parser.parse_comparison)
@@ -554,10 +549,7 @@ def parse_model(text: str) -> ModelDef:
                 use_params(tok, size)
                 parser.expect(";")
             elif parser.take("init"):
-                for name_tok in name_tokens("status"):
-                    initial_statuses.append(name_tok.text)
-                    uses.append((tok, "status", name_tok.text, "initial status "
-                                 f"{name_tok.text!r} is not declared"))
+                parser.separated(",", partial(record_initial, tok))
                 parser.expect(";")
             elif parser.take("step"):
                 step_tok = step_tok or tok

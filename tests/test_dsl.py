@@ -4,6 +4,8 @@ import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgmc.cfa import Guard, GuardAnd, GuardNot, Pick, SvEq, ThresholdLe
 from tgmc.core import LinearForm, ModelError
@@ -48,6 +50,69 @@ def test_tokenize_reports_bad_characters():
         _, diagnostics = tokenize(f"a {bad} b")
         assert len(diagnostics) == 1
         assert f"unexpected character {bad!r}" in diagnostics[0].message
+
+
+@pytest.mark.parametrize("text,tokens,diagnostics", [
+    # Only a letter or '_' starts a name; a bad character is skipped alone.
+    ("²abc", [("ident", "abc", 1, 2), ("eof", "", 1, 5)],
+     [(1, 1, "unexpected character '²'")]),
+    ("a²b", [("ident", "a²b", 1, 1), ("eof", "", 1, 4)], []),
+    ("٣x", [("ident", "x", 1, 2), ("eof", "", 1, 3)],
+     [(1, 1, "unexpected character '٣'")]),
+    ("x٣", [("ident", "x٣", 1, 1), ("eof", "", 1, 3)], []),
+    ("_a1", [("ident", "_a1", 1, 1), ("eof", "", 1, 4)], []),
+    ("é", [("ident", "é", 1, 1), ("eof", "", 1, 2)], []),
+    ("1a", [("int", "1", 1, 1), ("ident", "a", 1, 2), ("eof", "", 1, 3)], []),
+    ("a\r\nb", [("ident", "a", 1, 1), ("ident", "b", 2, 1), ("eof", "", 2, 2)], []),
+    ("a\tb @", [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("eof", "", 1, 6)],
+     [(1, 5, "unexpected character '@'")]),
+    # The longest symbol at a position wins.
+    ("<=>", [("sym", "<=", 1, 1), ("sym", ">", 1, 3), ("eof", "", 1, 4)], []),
+    ("-->", [("sym", "-", 1, 1), ("sym", "->", 1, 2), ("eof", "", 1, 4)], []),
+    # The end of file follows the last character, a comment's too.
+    ("model m # c", [("ident", "model", 1, 1), ("ident", "m", 1, 7),
+                     ("eof", "", 1, 12)], []),
+    ("model m # c\n", [("ident", "model", 1, 1), ("ident", "m", 1, 7),
+                       ("eof", "", 2, 1)], []),
+])
+def test_tokenize_edge_cases(text, tokens, diagnostics):
+    got, problems = tokenize(text)
+    assert [(t.kind, t.text, t.line, t.col) for t in got] == tokens
+    assert [(d.line, d.col, d.message) for d in problems] == diagnostics
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_tokenize_accounts_for_every_character(text):
+    """Tokens and diagnostics sit where their text is, in order; every other
+    character is a blank, a newline or part of a ``#`` comment."""
+    lines = text.split("\n")
+    tokens, diagnostics = tokenize(text)
+    covered = [set() for _ in lines]
+    for tok in tokens[:-1]:
+        start = tok.col - 1
+        assert lines[tok.line - 1][start:start + len(tok.text)] == tok.text
+        covered[tok.line - 1].update(range(start, start + len(tok.text)))
+        if tok.kind == "int":
+            assert tok.text.isascii() and tok.text.isdigit()
+        elif tok.kind == "ident":
+            assert tok.text[0].isalpha() or tok.text[0] == "_"
+            assert all(ch.isalnum() or ch == "_" for ch in tok.text)
+    positions = [(tok.line, tok.col) for tok in tokens]
+    assert positions == sorted(set(positions))
+    assert tokens[-1].kind == "eof"
+    for diag in diagnostics:
+        char = lines[diag.line - 1][diag.col - 1]
+        assert diag.message == f"unexpected character {char!r}"
+        covered[diag.line - 1].add(diag.col - 1)
+    for line, done in zip(lines, covered):
+        for col, char in enumerate(line):
+            if col in done:
+                continue
+            if char == "#":
+                assert not any(c > col for c in done)
+                break
+            assert char in " \t\r"
 
 
 def test_parse_minimal_model():
@@ -350,6 +415,16 @@ STEP_BLOCK = MINIMAL[MINIMAL.index("step {"):MINIMAL.index("unfair")]
       "18:1: unknown status 'V1'", "18:1: unknown status 'AC'"]),
     ("init V0, V1;", "", ["1:1: missing 'init ...;' statement"]),
     (STEP_BLOCK, "step { }\n", ["1:1: missing or empty 'step { ... }' block"]),
+    # The names read before a broken list stay declared or recorded.
+    ("status V0, V1, AC;", "status V0, V1, AC, 3;",
+     ["6:20: expected status name, found '3'"]),
+    ("init V0, V1;", "init V0, V1,;", ["7:13: expected status name, found ';'"]),
+    ("param n, t;", "param n, t 5;", ["3:12: expected ';', found '5'"]),
+    # The end of file is after the last character, a comment's too.
+    ("== AC));\n", "== AC));\nspec end: G all(sv != AC) # c",
+     ["19:30: expected ';', found end of file"]),
+    ("== AC));\n", "== AC));\nspec end: G all(sv != AC) # c\n",
+     ["20:1: expected ';', found end of file"]),
 ])
 def test_parser_diagnostics(old, new, expected):
     """One malformed input per parser message, pinned with the whole list

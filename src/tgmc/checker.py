@@ -105,53 +105,50 @@ def nested_dfs(initial_nodes, successors, is_accepting,
     cycle node having an edge back to the first cycle node.  Deterministic
     for deterministic inputs.  Raises ResourceCapExceeded when more than
     ``max_stored`` nodes would be stored.  A node is cyan while on the blue
-    stack, then blue, or red once a red search has passed it.
+    stack, then blue, or red once a red search has passed it.  Every node,
+    initial or not, is stored at one site, as a child of a stack frame.
     """
     cap = float("inf") if max_stored is None else max_stored
     colors = bytearray(1024)
     stored = 0
-    for start in initial_nodes:
-        _fit(colors, start)
-        if colors[start]:
-            continue
-        colors[start] = _CYAN
-        stored += 1
-        if stored > cap:
-            raise ResourceCapExceeded(stored)
-        stack = [(start, iter(successors(start)))]
-        while stack:
-            node, it = stack[-1]
-            for child in it:
-                try:
-                    color = colors[child]
-                except IndexError:
-                    _fit(colors, child)
-                    color = 0
-                if color == _CYAN and (is_accepting(node) or is_accepting(child)):
-                    chain = [frame[0] for frame in stack]
-                    at = chain.index(child)
-                    return (chain[:at], chain[at:]), stored
-                if not color:
-                    colors[child] = _CYAN
-                    stored += 1
-                    if stored > cap:
-                        raise ResourceCapExceeded(stored)
-                    stack.append((child, iter(successors(child))))
-                    break
+    # The root frame's children are the initial nodes.  Its node, None, is
+    # never tested by is_accepting: while the root is the only frame no node
+    # is cyan, and popping the root ends the search.  Lasso chains skip it.
+    stack = [(None, iter(initial_nodes))]
+    while True:
+        node, it = stack[-1]
+        for child in it:
+            try:
+                color = colors[child]
+            except IndexError:
+                _fit(colors, child)
+                color = 0
+            if color == _CYAN and (is_accepting(node) or is_accepting(child)):
+                chain = [frame[0] for frame in stack[1:]]
+                at = chain.index(child)
+                return (chain[:at], chain[at:]), stored
+            if not color:
+                colors[child] = _CYAN
+                stored += 1
+                if stored > cap:
+                    raise ResourceCapExceeded(stored)
+                stack.append((child, iter(successors(child))))
+                break
+        else:
+            stack.pop()
+            if not stack:
+                return None, stored
+            if is_accepting(node):
+                found = _red_search(node, successors, colors)
+                if found is not None:
+                    red_path, target = found
+                    chain = [frame[0] for frame in stack[1:]] + [node]
+                    at = chain.index(target)
+                    cycle = chain[at:] + red_path[1:]
+                    return (chain[:at], cycle), stored
+                colors[node] = _RED
             else:
-                stack.pop()
-                if is_accepting(node):
-                    found = _red_search(node, successors, colors)
-                    if found is not None:
-                        red_path, target = found
-                        chain = [frame[0] for frame in stack] + [node]
-                        at = chain.index(target)
-                        cycle = chain[at:] + red_path[1:]
-                        return (chain[:at], cycle), stored
-                    colors[node] = _RED
-                else:
-                    colors[node] = _BLUE
-    return None, stored
+                colors[node] = _BLUE
 
 
 def _fit(colors: bytearray, node: int) -> None:

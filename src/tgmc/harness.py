@@ -277,8 +277,13 @@ def parse_trace(text: str, model: ModelDef
         if not line:
             continue
         if section is not None and raw.startswith("  "):
-            section.append(_parse_state_line(line, model, line_no,
-                                             len(prefix) + len(cycle)))
+            state = _parse_state_line(line, model, line_no,
+                                      len(prefix) + len(cycle))
+            procs = state[0][0]
+            if headers["symmetry"] == "on" and list(procs) != sorted(procs):
+                raise ModelError(f"trace line {line_no}: under symmetry the "
+                                 "processes must be in sorted order")
+            section.append(state)
             continue
         key, sep, value = line.partition(":")
         key, value = key.strip(), value.strip()

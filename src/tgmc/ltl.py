@@ -8,6 +8,8 @@ is the ground truth that reported counterexamples are replayed against.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from .core import LinearForm, ModelError, ParamEnv, Valuation, eval_linear_form
@@ -186,7 +188,8 @@ def _operand(f: Formula, strength: int) -> str:
 # Direct evaluation on an ultimately periodic word.
 #
 # A "letter" is the set (any container supporting `in`) of atomic propositions
-# true at that position.  Position arithmetic: after the last cycle position
+# true at that position.  A subformula's truth on the word is one int, bit i
+# its truth at position i.  Position arithmetic: after the last cycle position
 # the word continues at the first cycle position.
 
 def eval_formula_on_lasso(f: Formula,
@@ -194,57 +197,40 @@ def eval_formula_on_lasso(f: Formula,
                           cycle_letters) -> bool:
     """Truth of ``f`` at position 0 of the word prefix·cycle^ω.
 
-    Until/Future are least fixpoints and Release/Globally greatest fixpoints of
-    their expansion laws over the finite position graph of the lasso.
+    Until/Future are least fixpoints of x = b | a & next(x), and
+    Release/Globally greatest fixpoints of x = b & (a | next(x)), over the
+    finite position graph of the lasso; F b is true U b, and G b false R b.
     """
     if not cycle_letters:
         raise ModelError("lasso cycle must be non-empty")
     letters = list(prefix_letters) + list(cycle_letters)
-    n = len(letters)
-    nxt = list(range(1, n)) + [len(prefix_letters)]
-    memo: dict[Formula, list[bool]] = {}
+    loop, last = len(prefix_letters), len(letters) - 1
+    everywhere = (1 << len(letters)) - 1
+    memo: dict[Formula, int] = {}
 
-    def sat(g: Formula) -> list[bool]:
+    def sat(g: Formula) -> int:
         found = memo.get(g)
         if found is not None:
             return found
         if isinstance(g, Literal):
-            vec = [(g.ap in letter) != g.negated for letter in letters]
+            x = sum(1 << i for i, letter in enumerate(letters)
+                    if (g.ap in letter) != g.negated)
         elif isinstance(g, And):
-            child_vecs = [sat(c) for c in g.items]
-            vec = [all(cv[i] for cv in child_vecs) for i in range(n)]
+            x = functools.reduce(operator.and_, map(sat, g.items), everywhere)
         elif isinstance(g, Or):
-            child_vecs = [sat(c) for c in g.items]
-            vec = [any(cv[i] for cv in child_vecs) for i in range(n)]
-        elif isinstance(g, Future):
-            a = sat(g.arg)
-            vec = _fixpoint(n, lambda i, v: a[i] or v[nxt[i]], start=False)
-        elif isinstance(g, Globally):
-            a = sat(g.arg)
-            vec = _fixpoint(n, lambda i, v: a[i] and v[nxt[i]], start=True)
-        elif isinstance(g, Until):
-            a, b = sat(g.lhs), sat(g.rhs)
-            vec = _fixpoint(n, lambda i, v: b[i] or (a[i] and v[nxt[i]]), start=False)
-        elif isinstance(g, Release):
-            a, b = sat(g.lhs), sat(g.rhs)
-            vec = _fixpoint(n, lambda i, v: b[i] and (a[i] or v[nxt[i]]), start=True)
+            x = functools.reduce(operator.or_, map(sat, g.items), 0)
         else:
-            raise ModelError(f"unknown formula node {g!r}")
-        memo[g] = vec
-        return vec
+            least = isinstance(g, (Until, Future))
+            operands = children(g)
+            if len(operands) == 1:
+                operands = (TRUE if least else FALSE, *operands)
+            a, b = map(sat, operands)
+            x, new = None, 0 if least else everywhere
+            while new != x:
+                x = new
+                after = x >> 1 | (x >> loop & 1) << last     # next(x)
+                new = b | a & after if least else b & (a | after)
+        memo[g] = x
+        return x
 
-    return sat(f)[0]
-
-
-def _fixpoint(n: int, update, start: bool) -> list[bool]:
-    vec = [start] * n
-    for _ in range(n + 1):
-        changed = False
-        for i in reversed(range(n)):
-            new = update(i, vec)
-            if new != vec[i]:
-                vec[i] = new
-                changed = True
-        if not changed:
-            break
-    return vec
+    return bool(sat(f) & 1)

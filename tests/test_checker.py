@@ -64,6 +64,13 @@ def test_nested_dfs_fixed_graphs():
     result, stored = run_nested(6, succ, (0,), {5})
     assert result is None
     assert stored == 1
+    # Initial nodes are stored once each, in order, and an accepting
+    # initial node on a self-loop is a cycle with an empty prefix.
+    succ = {0: (1,), 1: (), 2: (2,), 3: (1,)}
+    assert run_nested(4, succ, (), {2}) == (None, 0)
+    assert run_nested(4, succ, (0, 0, 1), {2}) == (None, 2)
+    assert run_nested(4, succ, (3, 0, 1), {2}) == (None, 3)
+    assert run_nested(4, succ, (2,), {2}) == (([], [2]), 1)
 
 
 def test_nested_dfs_respects_cap():
@@ -72,6 +79,11 @@ def test_nested_dfs_respects_cap():
     with pytest.raises(ResourceCapExceeded) as cap:
         nested_dfs((0,), lambda v: succ[v], lambda v: False, max_stored=10)
     assert cap.value.stored == 11
+    # The cap counts initial nodes too: the second one stored passes it.
+    succ = {0: (1,), 1: (), 2: (2,), 3: (1,)}
+    with pytest.raises(ResourceCapExceeded) as cap:
+        nested_dfs((1, 3), lambda v: succ[v], lambda v: v == 2, max_stored=1)
+    assert cap.value.stored == 2
 
 
 def test_nested_dfs_on_sparse_node_ids():

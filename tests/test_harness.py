@@ -309,6 +309,26 @@ def _relay_trace():
                                spec_name="relay").splitlines()
 
 
+def test_trace_processes_in_written_order_under_symmetry():
+    # Under symmetry tgmc writes each state's processes sorted; the same
+    # multiset in another order is a problem on its line, not a broken
+    # transition elsewhere.
+    model, lines = _relay_trace()
+    line_no = next(i for i, line in enumerate(lines, 1)
+                   if line.startswith("  1:"))
+    head, procs, aps = lines[line_no - 1].split(" | ")
+    assert procs.endswith(" SE(rcvd=2)")
+    moved = "SE(rcvd=2) " + procs[:-len(" SE(rcvd=2)")]
+    text = _edited(lines, line_no, " | ".join((head, moved, aps)))
+    assert verify_trace(text, model) == \
+        [f"trace line {line_no}: under symmetry the processes must be "
+         "in sorted order"]
+    # Without symmetry the order is the processes' identity, and a state
+    # line in any order parses.
+    raw = [line.replace("symmetry: on", "symmetry: off") for line in lines]
+    parse_trace(_edited(raw, line_no, " | ".join((head, moved, aps))), model)
+
+
 def _edited(lines, at, new=None, *, insert=False):
     """The trace with line ``at`` (counted from 1) replaced or removed, or
     with ``new`` inserted before it."""

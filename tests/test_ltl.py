@@ -97,6 +97,13 @@ def test_eval_fixed_examples():
     # Empty connectives.
     assert eval_formula_on_lasso(TRUE, [], letters(set())) is True
     assert eval_formula_on_lasso(FALSE, [], letters({P})) is False
+    # A lasso of 120 positions, prefix 70 and cycle 50: p in the cycle
+    # recurs, p in the prefix does not.
+    for at, recurs in ((100, True), (30, False)):
+        word = [frozenset({P}) if i == at else frozenset() for i in range(120)]
+        prefix, cycle = word[:70], word[70:]
+        assert eval_formula_on_lasso(Future(p), prefix, cycle) is True
+        assert eval_formula_on_lasso(gfp, prefix, cycle) is recurs
 
 
 def test_eval_agrees_with_walk_oracle_on_random_words():
@@ -112,3 +119,17 @@ def test_eval_agrees_with_walk_oracle_on_random_words():
         expected = brute_eval(f, prefix, cycle)
         assert eval_formula_on_lasso(f, prefix, cycle) is expected
         assert brute_eval(negate_to_nnf(f), prefix, cycle) is (not expected)
+    # Longer words: 4 to 16 positions, prefix 0-10 and cycle 1-8.
+    rng = random.Random(12)
+    checked = 0
+    while checked < 300:
+        plen = rng.randrange(0, 11)
+        clen = rng.randrange(1, 9)
+        if not 4 <= plen + clen <= 16:
+            continue
+        f = random_nnf_formula(rng, 3, (P, Q, R_AP))
+        prefix = [rng.choice(alphabet) for _ in range(plen)]
+        cycle = [rng.choice(alphabet) for _ in range(clen)]
+        assert eval_formula_on_lasso(f, prefix, cycle) is \
+            brute_eval(f, prefix, cycle)
+        checked += 1

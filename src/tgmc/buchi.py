@@ -18,14 +18,15 @@ reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from .core import value
 from .ltl import (And, AtomicProp, Formula, Future, Globally, Literal, Or,
                   Release, Until, children, formula_aps, subformulas)
 
 
-@dataclass
-class BuchiAutomaton:
+@value
+class BuchiAutomaton(NamedTuple):
     """State-labeled automaton: entering a state requires its label to hold of
     the current letter.  A run is accepting iff it visits ``accepting``
     infinitely often."""

@@ -16,9 +16,9 @@ parser, which reads them with ``op_names``.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .core import LinearForm, ModelError, Valuation, eval_linear_form
+from .core import LinearForm, ModelError, Valuation, eval_linear_form, value
 
 # Placeholder name for the value chosen by a pick operation.
 EPS = "eps"
@@ -27,16 +27,16 @@ EPS = "eps"
 # ---------------------------------------------------------------------------
 # Guard expressions: atoms `sv == Z` and `threshold <= var`, closed under && and !.
 
-@dataclass(frozen=True)
-class SvEq:
+@value
+class SvEq(NamedTuple):
     status: str
 
     def render(self) -> str:
         return f"sv == {self.status}"
 
 
-@dataclass(frozen=True)
-class ThresholdLe:
+@value
+class ThresholdLe(NamedTuple):
     bound: LinearForm
     var: str
 
@@ -44,16 +44,16 @@ class ThresholdLe:
         return f"{self.bound.render()} <= {self.var}"
 
 
-@dataclass(frozen=True)
-class GuardNot:
+@value
+class GuardNot(NamedTuple):
     item: "GuardExpr"
 
     def render(self) -> str:
         return f"!({self.item.render()})"
 
 
-@dataclass(frozen=True)
-class GuardAnd:
+@value
+class GuardAnd(NamedTuple):
     """Flat conjunction (the parser never nests one GuardAnd in another)."""
 
     items: tuple["GuardExpr", ...]
@@ -81,8 +81,8 @@ def eval_guard(expr: GuardExpr, v: Valuation) -> bool:
 # Pick conditions: conjunctions of atoms `a <= b + lin` where a or b may be
 # the placeholder `eps` standing for the value being chosen.
 
-@dataclass(frozen=True)
-class PickAtom:
+@value
+class PickAtom(NamedTuple):
     """``lhs <= rhs + offset``; ``lhs``/``rhs`` are variable names or EPS."""
 
     lhs: str
@@ -93,8 +93,8 @@ class PickAtom:
         return f"{self.lhs} <= {self.rhs}{self.offset.render_offset()}"
 
 
-@dataclass(frozen=True)
-class PickCond:
+@value
+class PickCond(NamedTuple):
     atoms: tuple[PickAtom, ...]
 
     def render(self) -> str:
@@ -136,32 +136,32 @@ def pick_range(cond: PickCond, v: Valuation) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Operations and the automaton itself.
 
-@dataclass(frozen=True)
-class Guard:
+@value
+class Guard(NamedTuple):
     expr: GuardExpr
 
     def render(self) -> str:
         return f"when {self.expr.render()}"
 
 
-@dataclass(frozen=True)
-class SetStatus:
+@value
+class SetStatus(NamedTuple):
     status: str
 
     def render(self) -> str:
         return f"set sv = {self.status}"
 
 
-@dataclass(frozen=True)
-class Inc:
+@value
+class Inc(NamedTuple):
     var: str
 
     def render(self) -> str:
         return f"inc {self.var}"
 
 
-@dataclass(frozen=True)
-class Pick:
+@value
+class Pick(NamedTuple):
     var: str
     cond: PickCond
 
@@ -172,25 +172,25 @@ class Pick:
 Op = Guard | SetStatus | Inc | Pick
 
 
-@dataclass(frozen=True)
-class Edge:
+@value
+class Edge(NamedTuple):
     src: str
     op: Op
     dst: str
 
 
-@dataclass(frozen=True)
-class Cfa:
+@value
+class Cfa(NamedTuple):
     """Acyclic edge-labeled graph with a unique entry and exit location, as
     ``build_cfa`` makes it.  ``layers`` lists every location in topological
-    order (entry first, exit last) with its out-edges in declaration order;
-    it is derived from ``edges``, so equality and hashing ignore it."""
+    order (entry first, exit last) with its out-edges in declaration order.
+    It is derived from ``edges``, so two automata with equal edges have
+    equal layers, and equality and hashing read it to no effect."""
 
     initial: str
     final: str
     edges: tuple[Edge, ...]
-    layers: tuple[tuple[str, tuple[Edge, ...]], ...] = field(compare=False,
-                                                             repr=False)
+    layers: tuple[tuple[str, tuple[Edge, ...]], ...]
 
 
 def op_names(op: Op | GuardExpr) -> list[tuple[str, str]]:

@@ -23,11 +23,11 @@ from __future__ import annotations
 import functools
 import time
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .buchi import BuchiAutomaton, build_buchi
 from .cfa import step_successors
-from .core import ModelError, ParamEnv
+from .core import ModelError, ParamEnv, value
 from .dsl import ModelDef
 from .kripke import EngineState, Instance
 from .ltl import (AtomicProp, Formula, ap_holds, disjoin, eval_formula_on_lasso,
@@ -45,8 +45,8 @@ class ResourceCapExceeded(Exception):
         super().__init__(f"stored {stored} product states, exceeding the cap")
 
 
-@dataclass
-class Lasso:
+@value
+class Lasso(NamedTuple):
     """Ultimately periodic counterexample run: prefix then repeated cycle.
 
     ``ap_truth[i]`` is the set of atomic propositions of the checked formula
@@ -61,8 +61,8 @@ class Lasso:
         return self.prefix + self.cycle
 
 
-@dataclass
-class Verdict:
+@value
+class Verdict(NamedTuple):
     """Outcome of one check_spec: ``holds`` (the search found no accepting
     lasso), ``violated`` (it found one, and replay confirmed it) or
     ``inconclusive`` (it stopped at the state cap).  The counts are read

@@ -1,5 +1,5 @@
 """Shared vocabulary: parameter environments, linear forms, resilience conditions,
-and single-process valuations.
+single-process valuations, and ``value``, which makes a record type.
 
 Every other module builds on these types.  All values live in the naturals;
 linear-form *evaluation* is over signed integers because differences such as
@@ -9,7 +9,7 @@ linear-form *evaluation* is over signed integers because differences such as
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # A parameter environment binds every declared parameter name to a natural.
 ParamEnv = dict[str, int]
@@ -17,6 +17,25 @@ ParamEnv = dict[str, int]
 
 class ModelError(Exception):
     """A model, parameter binding, or formula is malformed or inconsistent."""
+
+
+def value(cls):
+    """Make a ``typing.NamedTuple`` class a record type, as every runtime
+    record is: a record equals only a record of the same class with equal
+    fields, never another class's record or a plain tuple, although
+    ``And(())`` and ``Or(())`` are equal as tuples.  The hash stays the
+    tuple's C hash, so records of different classes with equal fields hash
+    alike but stay apart in a set.  Like any named tuple, a record is
+    immutable.
+    """
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not __eq__(self, other)
+
+    cls.__eq__, cls.__ne__ = __eq__, __ne__
+    return cls
 
 
 def parse_int(text: str, error: str) -> int:
@@ -28,8 +47,8 @@ def parse_int(text: str, error: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class LinearForm:
+@value
+class LinearForm(NamedTuple):
     """Integer-coefficient linear expression over parameter names plus a constant.
 
     ``coeffs`` is a tuple of (name, coefficient) pairs, sorted by name with zero
@@ -98,8 +117,8 @@ COMPARISON_OPS = {
 }
 
 
-@dataclass(frozen=True)
-class Comparison:
+@value
+class Comparison(NamedTuple):
     """``lhs ⋈ rhs`` over linear forms."""
 
     lhs: LinearForm
@@ -114,8 +133,8 @@ class Comparison:
         return f"{self.lhs.render()} {self.op} {self.rhs.render()}"
 
 
-@dataclass(frozen=True)
-class ResilienceCondition:
+@value
+class ResilienceCondition(NamedTuple):
     """Conjunction of comparisons over the parameters (vacuously true if empty)."""
 
     conjuncts: tuple[Comparison, ...] = ()
@@ -128,8 +147,8 @@ def check_resilience(rc: ResilienceCondition, env: ParamEnv) -> bool:
     return all(c.holds(env) for c in rc.conjuncts)
 
 
-@dataclass(frozen=True)
-class Valuation:
+@value
+class Valuation(NamedTuple):
     """One process state: status value plus local, shared, and parameter bindings.
 
     Variable tuples are kept in declaration order; use :func:`make_valuation` or

@@ -54,15 +54,14 @@ that lost an edge gets no diagnostics about its graph's shape.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial, reduce
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .cfa import (EPS, Cfa, Edge, Guard, GuardAnd, GuardExpr, GuardNot, Inc, Op,
                   Pick, PickAtom, PickCond, SetStatus, SvEq, ThresholdLe,
                   build_cfa, op_names)
 from .core import (COMPARISON_OPS, Comparison, LinearForm, ModelError, ParamEnv,
-                   ResilienceCondition, normalize_coeffs, parse_int)
+                   ResilienceCondition, normalize_coeffs, parse_int, value)
 from .ltl import (And, Formula, Future, Globally, LessProp, Literal, Or,
                   StatusProp, Until, children, disjoin, formula_aps, render_formula)
 
@@ -79,8 +78,8 @@ RESERVED_NAMES = _STATEMENTS | {
 MAX_NESTING = 100   # the builtin models' formulas and guards nest 4 deep
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+@value
+class Diagnostic(NamedTuple):
     line: int
     col: int
     message: str
@@ -97,15 +96,15 @@ class ModelSyntaxError(ModelError):
         super().__init__("\n".join(d.render() for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class SpecDef:
+@value
+class SpecDef(NamedTuple):
     name: str
     formula: Formula
     unless: str | None = None
 
 
-@dataclass(frozen=True)
-class ModelDef:
+@value
+class ModelDef(NamedTuple):
     name: str
     params: tuple[str, ...]
     resilience: ResilienceCondition
@@ -138,8 +137,8 @@ class ModelDef:
 # ---------------------------------------------------------------------------
 # Tokenizer.
 
-@dataclass(frozen=True)
-class Token:
+@value
+class Token(NamedTuple):
     kind: str   # "ident" | "int" | "sym" | "eof"
     text: str
     line: int

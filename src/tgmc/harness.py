@@ -17,13 +17,13 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import multiprocessing
+import os
 from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
 from .checker import (DEFAULT_MAX_PRODUCT_STATES, Lasso, check_spec,
                       combined_formula, replay_lasso)
-from .core import ModelError, ParamEnv, parse_int
+from .core import ModelError, ParamEnv, parse_int, value
 from .dsl import ModelDef, parse_model, parse_params_binding
 from .kripke import EngineState, Instance
 from .ltl import formula_aps, negate_to_nnf
@@ -42,8 +42,8 @@ def load_builtin(name: str) -> ModelDef:
     if name not in BUILTIN_NAMES:
         raise ModelError(f"unknown builtin model {name!r} "
                          f"(available: {', '.join(BUILTIN_NAMES)})")
-    path = resources.files("tgmc") / "models" / f"{name}.tg"
-    return parse_model(path.read_text(encoding="utf-8"))
+    path = os.path.join(os.path.dirname(__file__), "models", f"{name}.tg")
+    return parse_model(read_text(path, "model"))
 
 
 def read_text(path: str, kind: str) -> str:
@@ -68,6 +68,8 @@ def resolve_model(ref: str) -> ModelDef:
 # ---------------------------------------------------------------------------
 # Cases and records.
 
+# A case stays a frozen dataclass, unlike the other records: the benchmark's
+# tests derive cases from one with ``dataclasses.replace``.
 @dataclass(frozen=True)
 class CaseSpec:
     model: str
@@ -77,8 +79,8 @@ class CaseSpec:
     tier: str       # required | extended | skip | unmodeled
 
 
-@dataclass
-class RunRecord:
+@value
+class RunRecord(NamedTuple):
     case: CaseSpec
     verdict: str                 # holds | violated | inconclusive | skip | error
     match: bool | None           # None when skipped, or inconclusive but tolerated
@@ -157,6 +159,7 @@ def run_manifest(path: str, jobs: int = 1,
     run = functools.partial(run_case, symmetry=symmetry, max_states=max_states)
     workers = min(jobs, len(cases))
     if workers > 1:
+        import multiprocessing      # only a parallel run pays for the import
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import LinearForm, ModelError, ParamEnv, Valuation, eval_linear_form
+from .core import (LinearForm, ModelError, ParamEnv, Valuation, eval_linear_form,
+                   value)
 
 # ---------------------------------------------------------------------------
 # Atomic propositions, all quantified over the process vector.
 
-@dataclass(frozen=True)
-class StatusProp:
+@value
+class StatusProp(NamedTuple):
     """[∀i. sv_i = Z] / [∃i. sv_i = Z] and their ≠ variants."""
 
     quant: str          # "all" | "some"
@@ -30,8 +31,8 @@ class StatusProp:
         return f"{self.quant}(sv {op} {self.status})"
 
 
-@dataclass(frozen=True)
-class LessProp:
+@value
+class LessProp(NamedTuple):
     """[∃i. x_i + offset < y_i] for per-process views x, y of declared variables."""
 
     x: str
@@ -59,40 +60,40 @@ def ap_holds(ap: AtomicProp, views: list[Valuation], env: ParamEnv) -> bool:
 # ---------------------------------------------------------------------------
 # Formula tree.  Negation appears only on literals.
 
-@dataclass(frozen=True)
-class Literal:
+@value
+class Literal(NamedTuple):
     ap: AtomicProp
     negated: bool = False
 
 
-@dataclass(frozen=True)
-class And:
+@value
+class And(NamedTuple):
     items: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
-class Or:
+@value
+class Or(NamedTuple):
     items: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
-class Future:
+@value
+class Future(NamedTuple):
     arg: "Formula"
 
 
-@dataclass(frozen=True)
-class Globally:
+@value
+class Globally(NamedTuple):
     arg: "Formula"
 
 
-@dataclass(frozen=True)
-class Until:
+@value
+class Until(NamedTuple):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Release:
+@value
+class Release(NamedTuple):
     lhs: "Formula"
     rhs: "Formula"
 

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tgmc.cfa import Inc, SetStatus, SvEq
 from tgmc.core import (Comparison, LinearForm, ModelError, ResilienceCondition,
                        Valuation, check_resilience, eval_linear_form,
                        make_valuation, normalize_coeffs)
+from tgmc.ltl import (FALSE, TRUE, Future, Globally, Literal, Release,
+                      StatusProp, Until)
 
 small_ints = st.integers(min_value=-9, max_value=9)
 envs = st.fixed_dictionaries({"n": st.integers(0, 20), "t": st.integers(0, 20),
@@ -89,3 +92,44 @@ def test_valuations_hash_and_compare():
     b = Valuation("V0", (("rcvd", 1),), (("nsnt", 2),))
     assert a == b
     assert hash(a) == hash(b)
+
+
+P = Literal(StatusProp("all", "V0"))
+Q = Literal(StatusProp("some", "AC"), negated=True)
+# Records of different classes whose fields are equal tuples.
+LOOKALIKES = [
+    (TRUE, FALSE),
+    (Future(P), Globally(P)),
+    (Until(P, Q), Release(P, Q)),
+    (SvEq("V0"), SetStatus("V0")),
+    (SvEq("V0"), Inc("V0")),
+    (SetStatus("V0"), Inc("V0")),
+]
+
+
+@pytest.mark.parametrize("a,b", LOOKALIKES)
+def test_records_of_different_classes_are_unequal(a, b):
+    assert tuple(a) == tuple(b)
+    assert not a == b and not b == a
+    assert a != b and b != a
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 2
+    assert {a: 1, b: 2}[a] == 1
+
+
+@pytest.mark.parametrize("record", [
+    TRUE, Future(P), Until(P, Q), SvEq("V0"), LinearForm.of(1, n=2),
+    make_valuation("V0", {"rcvd": 1}),
+])
+def test_record_value_semantics(record):
+    plain = tuple(record)
+    assert not record == plain and not plain == record
+    assert record != plain and plain != record
+    twin = type(record)(*plain)
+    assert twin == record and not twin != record
+    assert hash(twin) == hash(record)
+    assert len({record, twin}) == 1
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(AttributeError):
+        setattr(record, type(record)._fields[0], plain[0])

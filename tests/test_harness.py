@@ -1,11 +1,16 @@
 """Case running, manifests, result CSVs, and trace round-trips."""
 
 import io
+import json
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import tgmc
 from tgmc.cli import exit_code_for
 from tgmc.core import ModelError
 from tgmc.dsl import format_model, parse_params_binding
@@ -180,7 +185,7 @@ def test_run_manifest_starts_no_more_workers_than_cases(tmp_path, monkeypatch):
     class NoProcessContext:
         Pool = SerialPool
 
-    monkeypatch.setattr("tgmc.harness.multiprocessing.get_context",
+    monkeypatch.setattr("multiprocessing.get_context",
                         lambda *method: NoProcessContext)
     rows = [("clean", f"n={n},t=1", "unforg", "holds", "required")
             for n in (2, 3, 4)]
@@ -190,6 +195,23 @@ def test_run_manifest_starts_no_more_workers_than_cases(tmp_path, monkeypatch):
     assert started == [3, 2]
     run_manifest(manifest_file(tmp_path, rows[:1]), jobs=8)
     assert started == [3, 2]          # one case runs in this process
+
+
+def test_import_and_builtins_load_no_pool_or_resource_reader():
+    # A check pays only for what it uses: multiprocessing is imported by a
+    # parallel run, and the builtins are read as files beside the package.
+    # ``-S`` keeps site hooks from importing either module first.
+    src = str(Path(tgmc.__file__).parents[1])
+    probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); import tgmc; "
+             "tgmc.load_builtin('byz'); "
+             "print(json.dumps([tgmc.__file__, "
+             "sorted({'multiprocessing', 'importlib.resources'} & set(sys.modules))]))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    origin, loaded = json.loads(proc.stdout)
+    assert origin.startswith(src)
+    assert loaded == []
 
 
 def test_exit_codes_and_summary_lines():

@@ -10,12 +10,13 @@ per automaton state lists, per letter id, the automaton successors that the
 letter lets in; so an edge of the product is read, not tested.
 
 Every reported lasso is replay-validated before the verdict is returned:
-each transition is re-checked against the reference step relation
-(``cfa.step_successors``, one process at a time), each state's propositions
-are re-evaluated by ``ltl.ap_holds`` on its processes' valuations, and the
-negated formula on the lasso's word by the direct fixpoint evaluator.  A
-verdict is therefore never justified by the search alone.  The same search
-decides whether an automaton accepts one lasso word (buchi_accepts_lasso).
+each transition is re-checked against ``reference_successors`` (the one
+tuple-form successor relation, over ``cfa.step_successors``, that replay and
+the tests share), each state's propositions are re-evaluated by
+``ltl.ap_holds`` on its processes' valuations, and the negated formula on
+the lasso's word by the direct fixpoint evaluator.  A verdict is therefore
+never justified by the search alone.  The same search decides whether an
+automaton accepts one lasso word (buchi_accepts_lasso).
 """
 
 from __future__ import annotations
@@ -208,8 +209,7 @@ class Product:
         self._letter_of = inst.compile_ap(ba.aps)
         self._accept_flags = [q in ba.accepting for q in range(ba.n_states())]
         self._letter = array("i")               # gid -> letter id, or -1
-        self._letter_ids: dict[int, int] = {}    # letter -> letter id
-        self._letters: list[int] = []            # letter id -> letter
+        self._letter_ids: dict[int, int] = {}    # letter -> id, in id order
         # One row per automaton state, then the row of the initial states.
         self._entered = [*ba.succ, ba.initial]
         self._moves: list[list[list[int]]] = [[] for _ in self._entered]
@@ -220,8 +220,7 @@ class Product:
         letter = self._letter_of(self.inst.states[gid])
         lid = self._letter_ids.get(letter)
         if lid is None:
-            lid = self._letter_ids[letter] = len(self._letters)
-            self._letters.append(letter)
+            lid = self._letter_ids[letter] = len(self._letter_ids)
             for row, states in zip(self._moves, self._entered):
                 row.append(self.ba.entered(states, letter))
         self._letter[gid] = lid
@@ -267,7 +266,8 @@ class Product:
         state read from the letters the search computed."""
         gids = [node // self.nq for node in prefix_nodes + cycle_nodes]
         states = [self.inst.decode(self.inst.states[gid]) for gid in gids]
-        letters = [self._letters[self._letter[gid]] for gid in gids]
+        by_id = list(self._letter_ids)
+        letters = [by_id[self._letter[gid]] for gid in gids]
         truth = [frozenset(ap for bit, ap in enumerate(self.ba.aps)
                            if letter >> bit & 1) for letter in letters]
         split = len(prefix_nodes)
@@ -304,16 +304,46 @@ def buchi_accepts_lasso(ba: BuchiAutomaton, prefix_letters, cycle_letters) -> bo
 # ---------------------------------------------------------------------------
 # Replay validation and the top-level check.
 
+def reference_successors(inst: Instance, state: EngineState,
+                          moves: dict) -> list[EngineState]:
+    """The successors of a ``(procs, shareds)`` state by
+    ``cfa.step_successors``, one process at a time, deduplicated, in
+    ``Instance.successors`` order, or ``[state]`` when no process moves.
+    Under symmetry only the first of identical entries moves, and every
+    successor's processes are sorted.  ``moves`` memoises the step relation
+    per (entry, shareds).  Replay and the tests check the fast path
+    (``Instance.successors`` and its step cache) against this relation."""
+    procs, shareds = state
+    out: dict[EngineState, None] = {}
+    previous = None
+    for i, entry in enumerate(procs):
+        if inst.symmetry and entry == previous:
+            continue
+        previous = entry
+        found = moves.get((entry, shareds))
+        if found is None:
+            found = moves[entry, shareds] = [
+                inst.entry(succ) for succ in step_successors(
+                    inst.valuation(entry, shareds), inst.model.cfa)]
+        for new_entry, new_shareds in found:
+            new_procs = procs[:i] + (new_entry,) + procs[i + 1:]
+            if inst.symmetry:
+                new_procs = tuple(sorted(new_procs))
+            out[(new_procs, new_shareds)] = None
+    if not out:
+        out[state] = None
+    return list(out)
+
+
 def replay_lasso(inst: Instance, lasso: Lasso, negated: Formula) -> list[str]:
     """Re-derive everything the lasso claims; returns problems (empty = valid).
 
     Checks that the first state is initial by the model's declarations,
     that each consecutive pair of states (the cycle's wrap-around included)
-    is the move of one process by the reference step relation,
-    ``cfa.step_successors``, that the recorded proposition sets match
-    ``ltl.ap_holds`` on every process's valuation, and that the negated
-    formula is true on the lasso's word.  Neither the edges nor the labels
-    are checked with the fast path that found them: not with
+    is an edge of ``reference_successors``, that the recorded proposition
+    sets match ``ltl.ap_holds`` on every process's valuation, and that the
+    negated formula is true on the lasso's word.  Neither the edges nor the
+    labels are checked with the fast path that found them: not with
     ``inst.successors`` or its step cache, nor with ``inst.compile_ap``.
     """
     problems: list[str] = []
@@ -328,35 +358,13 @@ def replay_lasso(inst: Instance, lasso: Lasso, negated: Formula) -> list[str]:
             or any(status not in initial or values != zero_locals
                    for status, values in procs)):
         problems.append("position 0: first state is not an initial state")
-    moves: dict = {}   # (entry, shareds) -> that process's reference moves
-
-    def is_step(here: EngineState, there: EngineState) -> bool:
-        """One process moves; the others keep their entries, by position or,
-        under symmetry, up to the canonical sort.  A state in which no
-        process can move repeats."""
-        procs, shareds = here
-        stuck = True
-        for i, entry in enumerate(procs):
-            found = moves.get((entry, shareds))
-            if found is None:
-                valuation = inst.valuation(entry, shareds)
-                found = moves[entry, shareds] = [
-                    inst.entry(succ)
-                    for succ in step_successors(valuation, inst.model.cfa)]
-            for new_entry, new_shareds in found:
-                stuck = False
-                new_procs = procs[:i] + (new_entry,) + procs[i + 1:]
-                if inst.symmetry:
-                    new_procs = tuple(sorted(new_procs))
-                if (new_procs, new_shareds) == there:
-                    return True
-        return stuck and here == there
-
+    moves: dict = {}
     for i, here in enumerate(states):
+        successors = reference_successors(inst, here, moves)
         if i + 1 < len(states):
-            if not is_step(here, states[i + 1]):
+            if states[i + 1] not in successors:
                 problems.append(f"position {i}: recorded transition is not a successor")
-        elif not is_step(here, lasso.cycle[0]):
+        elif lasso.cycle[0] not in successors:
             problems.append("cycle does not close (last cycle state cannot reach the first)")
 
     aps = formula_aps(negated)

@@ -195,6 +195,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # Opening --out empties it, so it must not be the manifest.
+    if args.out:
+        try:
+            same = os.path.samefile(args.out, args.manifest)
+        except OSError:     # one of them does not exist: they differ
+            same = False
+        if same:
+            raise ModelError(f"--out {args.out!r} is the manifest file")
     # Open --out first, so that a bad path fails before any check runs.
     with (open(args.out, "w", encoding="utf-8", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as out:

@@ -47,10 +47,11 @@ def load_builtin(name: str) -> ModelDef:
 
 
 def read_text(path: str, kind: str) -> str:
-    """A UTF-8 text file's contents; a file that cannot be opened or decoded
-    is a ModelError naming the ``kind`` of file."""
+    """A UTF-8 text file's contents, without a leading byte-order mark; a
+    file that cannot be opened or decoded is a ModelError naming the
+    ``kind`` of file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeError) as exc:
         raise ModelError(f"cannot read {kind} {path!r}: {exc}") from None

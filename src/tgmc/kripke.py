@@ -25,11 +25,12 @@ inverse.
 
 The state graph is built on demand and shared by every search over the
 instance.  States are interned to dense ids (gids).  The successor ids of
-every expanded state lie back to back in one flat ``array('i')``; since
-states are expanded in search order, not gid order, an offset (``array('q')``)
-and a length (``array('i')``) per gid find each state's run.  So a state
-costs its packed int, its slot in the id dict and in ``states``, 12 bytes
-of offset and length, and 4 bytes per successor.
+every expanded state lie back to back in one flat ``array('i')``, each run
+prefixed by its length; since states are expanded in search order, not gid
+order, an offset per gid (``array('q')``) finds each state's run.  So a
+state costs its packed int, its slot in the id dict and in ``states``, 8
+bytes of offset, 4 bytes of length prefix once it is expanded, and 4 bytes
+per successor.
 
 Parameters are factored out of states: every state of an instance shares the
 instance's binding, so transitions preserve parameters by construction.
@@ -84,14 +85,8 @@ class Instance:
         self._digit_mask = (1 << self._width) - 1
         self._shifts = [] if symmetry else [_FIELD_BITS + self._width * i
                                             for i in range(self.count)]
-        self.statuses = model.statuses
         self._status_index = {s: i for i, s in enumerate(model.statuses)}
-        self._locals = model.locals
-        self._shareds = model.shareds
         self._params_pairs = tuple((p, env[p]) for p in model.params)
-        self._init_indices = tuple(sorted(self._status_index[s]
-                                          for s in model.initial_statuses))
-        self._cfa = model.cfa
         # Interned process entries and shared vectors; under symmetry the
         # entry ids also in the natural order of their entries.
         self._entries: list[ProcEntry] = []
@@ -104,13 +99,13 @@ class Instance:
         self._step_cache: dict[tuple[int, int], tuple] = {}
         # The state graph, built on demand and shared by every search over
         # this instance: states interned to dense ids (gids), and the
-        # successor ids of every expanded state as one run of ``_succ``, at
-        # offset ``_succ_at[gid]`` (-1 until expanded), ``_succ_len[gid]`` long.
+        # successor ids of every expanded state as one run of ``_succ``: at
+        # offset ``_succ_at[gid]`` (-1 until expanded) the run's length, then
+        # the ids.
         self.states: list[int] = []
         self._state_ids: dict[int, int] = {}
         self._succ = array("i")
         self._succ_at = array("q")
-        self._succ_len = array("i")
 
     # -- packing --------------------------------------------------------------
 
@@ -179,13 +174,14 @@ class Instance:
     # -- initial states ------------------------------------------------------
 
     def initial_states(self) -> list[int]:
-        zero_locals = (0,) * len(self._locals)
-        zero_shareds = (0,) * len(self._shareds)
+        model = self.model
+        zero_locals = (0,) * len(model.locals)
+        zero_shareds = (0,) * len(model.shareds)
+        init = sorted(self._status_index[s] for s in model.initial_statuses)
         if self.symmetry:
-            combos = itertools.combinations_with_replacement(self._init_indices,
-                                                             self.count)
+            combos = itertools.combinations_with_replacement(init, self.count)
         else:
-            combos = itertools.product(self._init_indices, repeat=self.count)
+            combos = itertools.product(init, repeat=self.count)
         return [self.encode((tuple((idx, zero_locals) for idx in combo),
                              zero_shareds))
                 for combo in combos]
@@ -195,25 +191,27 @@ class Instance:
     def valuation(self, entry: ProcEntry, shareds: tuple[int, ...]) -> Valuation:
         """One process's view of a state: its entry, the shareds, the binding."""
         status_idx, local_vals = entry
-        return Valuation(self.statuses[status_idx],
-                         tuple(zip(self._locals, local_vals)),
-                         tuple(zip(self._shareds, shareds)),
+        model = self.model
+        return Valuation(model.statuses[status_idx],
+                         tuple(zip(model.locals, local_vals)),
+                         tuple(zip(model.shareds, shareds)),
                          self._params_pairs)
 
     def entry(self, valuation: Valuation) -> tuple[ProcEntry, tuple[int, ...]]:
-        """Inverse of ``valuation``: (process entry, shareds)."""
-        local_map = dict(valuation.locals)
-        shared_map = dict(valuation.shareds)
+        """Inverse of ``valuation``: (process entry, shareds).  Values are
+        read by position: ``valuation`` writes the variables in declaration
+        order, and ``Valuation.with_status`` and ``with_variable``, the only
+        changes the step relation makes, keep that order."""
         return ((self._status_index[valuation.status],
-                 tuple(local_map[n] for n in self._locals)),
-                tuple(shared_map[n] for n in self._shareds))
+                 tuple(value for _, value in valuation.locals)),
+                tuple(value for _, value in valuation.shareds))
 
     def _moves(self, eid: int, sid: int) -> tuple:
         """The cached deltas of a process at entry ``eid`` and shareds
         ``sid``, one per reference step successor, in its order."""
         moves = []
         valuation = self.valuation(self._entries[eid], self._shared_vecs[sid])
-        for succ in step_successors(valuation, self._cfa):
+        for succ in step_successors(valuation, self.model.cfa):
             new_entry, new_shareds = self.entry(succ)
             new_eid = self._entry_id(new_entry)
             new_sid = self._shareds_id(new_shareds)
@@ -267,21 +265,19 @@ class Instance:
             self._state_ids[state] = gid
             self.states.append(state)
             self._succ_at.append(-1)
-            self._succ_len.append(0)
         return gid
 
     def successor_ids(self, gid: int) -> Sequence[int]:
-        """Ids of the successors of state ``gid``, in ``successors`` order;
-        ``successors`` runs at most once per state.  The first call returns
-        the list it stored, later ones a slice of the flat store."""
-        at = self._succ_at[gid]
-        if at >= 0:
-            return self._succ[at:at + self._succ_len[gid]]
-        ids = [self.state_id(s) for s in self.successors(self.states[gid])]
-        self._succ_at[gid] = len(self._succ)
-        self._succ_len[gid] = len(ids)
-        self._succ.extend(ids)
-        return ids
+        """Ids of the successors of state ``gid``, in ``successors`` order,
+        as a slice of the flat store; ``successors`` runs at most once per
+        state."""
+        succ, at = self._succ, self._succ_at[gid]
+        if at < 0:
+            successors = self.successors(self.states[gid])
+            self._succ_at[gid] = at = len(succ)
+            succ.append(len(successors))
+            succ.extend(map(self.state_id, successors))
+        return succ[at + 1:at + 1 + succ[at]]
 
     # -- labeling -------------------------------------------------------------
 
@@ -296,7 +292,7 @@ class Instance:
             if isinstance(ap, StatusProp) and ap.status not in self._status_index:
                 raise ModelError(f"unknown status {ap.status!r}")
             for name in (ap.x, ap.y) if isinstance(ap, LessProp) else ():
-                if name not in self._locals and name not in self._shareds:
+                if name not in self.model.locals and name not in self.model.shareds:
                     raise ModelError(f"unknown variable {name!r}")
         flip = sum(1 << i for i, ap in enumerate(aps)
                    if isinstance(ap, StatusProp) and ap.quant == "all")

@@ -6,10 +6,10 @@ path enumeration via networkx, step successors by per-path candidate
 substitution, temporal truth by walking the unique future chain of an
 ultimately periodic word, proposition truth by looking variables up by name,
 and emptiness via strongly connected components — so that agreement with the
-package is evidence, not tautology.  The one exception is the state graph in
-tuple form: it is the successor relation as written before states were
-packed, over the same step relation, and pins the order in which the packed
-engine lists successors.
+package is evidence, not tautology.  The one exception is the initial states
+in tuple form, listed in the order the packed engine lists them; the tuple-form
+successor relation the tests walk beside them is the runtime's own reference,
+``tgmc.checker.reference_successors``, which counterexample replay trusts.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import random
 import networkx as nx
 
 from tgmc.cfa import (EPS, Cfa, Guard, GuardAnd, GuardNot, Inc, Pick, SetStatus,
-                      SvEq, ThresholdLe, step_successors)
+                      SvEq, ThresholdLe)
 from tgmc.core import LinearForm, Valuation, make_valuation
 from tgmc.ltl import (And, AtomicProp, Formula, Future, Globally, LessProp,
                       Literal, Or, Release, StatusProp, Until)
@@ -184,6 +184,32 @@ def naive_step_successors(v: Valuation, cfa: Cfa) -> list[Valuation]:
     return sorted(results, key=lambda w: (w.status, w.locals, w.shareds))
 
 
+def naive_successors(inst, state, memo: dict) -> set:
+    """The successor set of a ``(procs, shareds)`` state of ``inst`` by
+    ``naive_step_successors``, every value read and written by its
+    variable's name; a state with no mover repeats.  ``memo`` keeps the
+    steps per (entry, shareds)."""
+    model = inst.model
+    procs, shareds = state
+    out = set()
+    for i, entry in enumerate(procs):
+        if (entry, shareds) not in memo:
+            status, values = entry
+            v = make_valuation(model.statuses[status],
+                               dict(zip(model.locals, values)),
+                               dict(zip(model.shareds, shareds)), inst.env)
+            memo[entry, shareds] = [
+                ((model.statuses.index(w.status),
+                  tuple(lookup(w, name) for name in model.locals)),
+                 tuple(lookup(w, name) for name in model.shareds))
+                for w in naive_step_successors(v, model.cfa)]
+        for new_entry, new_shareds in memo[entry, shareds]:
+            new_procs = procs[:i] + (new_entry,) + procs[i + 1:]
+            out.add((tuple(sorted(new_procs)) if inst.symmetry else new_procs,
+                     new_shareds))
+    return out or {state}
+
+
 # ---------------------------------------------------------------------------
 # The state graph in tuple form: states are (procs, shareds), procs a tuple
 # of (status_index, local values) entries, sorted under symmetry.
@@ -199,32 +225,6 @@ def reference_initial_states(inst) -> list:
         combos = itertools.product(init, repeat=inst.count)
     return [(tuple((idx, zero_locals) for idx in combo), zero_shareds)
             for combo in combos]
-
-
-def reference_successors(inst, state, moves: dict) -> list:
-    """All successors of a tuple-form state, deduplicated, in the engine's
-    order: each process moves by ``cfa.step_successors`` in position order,
-    and under symmetry only the first of identical entries moves and every
-    successor's process vector is sorted.  A state with no mover repeats.
-    ``moves`` memoises the step relation per (entry, shareds)."""
-    procs, shareds = state
-    out: dict = {}
-    previous = None
-    for i, entry in enumerate(procs):
-        if inst.symmetry and entry == previous:
-            continue
-        previous = entry
-        if (entry, shareds) not in moves:
-            moves[entry, shareds] = [inst.entry(succ) for succ in step_successors(
-                inst.valuation(entry, shareds), inst.model.cfa)]
-        for new_entry, new_shareds in moves[entry, shareds]:
-            new_procs = procs[:i] + (new_entry,) + procs[i + 1:]
-            if inst.symmetry:
-                new_procs = tuple(sorted(new_procs))
-            out[(new_procs, new_shareds)] = None
-    if not out:
-        out[state] = None
-    return list(out)
 
 
 # ---------------------------------------------------------------------------
@@ -339,3 +339,52 @@ def random_valuation(rng: random.Random, model) -> Valuation:
     locals_ = {name: rng.randrange(0, 9) for name in model.locals}
     shareds = {name: rng.randrange(0, 9) for name in model.shareds}
     return make_valuation(rng.choice(model.statuses), locals_, shareds, env)
+
+
+def random_model_text(rng: random.Random, name: str) -> str:
+    """Source of a small random model, ``size n``, with 2-3 locals, 2-3
+    shareds, 3-4 statuses and one ``G``/``F`` spec, ``prop``.
+
+    Every instance's state graph is finite by construction: a status moves
+    only to a later one, and every path with an ``inc`` also sets a later
+    status, so a process increments at most once per status; every ``pick``
+    sets a local and is bounded above by a shared variable, which only
+    ``inc`` raises.  Each step path is a chain of its own locations from
+    ``qI`` to ``qF``, its first operation a status guard and one of the
+    others a threshold guard, so no two edges are equal.
+    """
+    statuses = [f"S{i}" for i in range(rng.randint(3, 4))]
+    locals_ = ["a", "b", "c"][:rng.randint(2, 3)]
+    shareds = ["x", "y", "z"][:rng.randint(2, 3)]
+    variables = locals_ + shareds
+    edges = []
+    for path in range(rng.randint(3, 6)):
+        at = rng.randrange(len(statuses))
+        later = statuses[at + 1:]
+        ops = [f"pick {var} where {var} <= eps && "
+               f"eps <= {rng.choice(shareds)} + {rng.randint(0, 1)}"
+               for var in rng.sample(locals_, rng.choice((0, 0, 1)))]
+        if later and rng.random() < 0.7:
+            ops += [f"inc {var}"
+                    for var in rng.sample(variables, rng.choice((0, 1, 1, 2)))]
+            ops.append(f"set sv = {rng.choice(later)}")
+        rng.shuffle(ops)
+        threshold = rng.choice(("0 <= {}", "1 <= {}", "n - 1 <= {}",
+                                "!(1 <= {})", "!(n <= {})")).format(
+                                    rng.choice(variables))
+        ops.insert(rng.randint(0, len(ops)), f"when {threshold}")
+        ops.insert(0, f"when sv == {statuses[at]}")
+        locations = ["qI"] + [f"p{path}_{i}" for i in range(1, len(ops))] + ["qF"]
+        edges += [f"  from {src} to {dst} : {op};"
+                  for src, dst, op in zip(locations, locations[1:], ops)]
+    status = rng.choice(statuses)
+    spec = rng.choice((f"G all(sv != {status})", f"F some(sv == {status})",
+                       f"G (some(sv == {statuses[0]}) -> F all(sv == {status}))",
+                       f"G (some(sv == {status}) -> G some(sv == {status}))",
+                       f"G some({rng.choice(locals_)} < {rng.choice(shareds)})"))
+    return "\n".join([
+        f"model {name};", "param n;", "size n;",
+        f"status {', '.join(statuses)};",
+        f"init {', '.join(statuses[:rng.randint(1, 2)])};",
+        f"local {', '.join(locals_)};", f"shared {', '.join(shareds)};",
+        "step {", *edges, "}", f"spec prop: {spec};", ""])

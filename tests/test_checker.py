@@ -10,13 +10,13 @@ import pytest
 
 import tgmc
 from oracles import (eval_atomic_prop, random_digraph,
-                     reference_initial_states, reference_successors,
-                     scc_accepting_lasso_exists)
+                     reference_initial_states, scc_accepting_lasso_exists)
 from tgmc import checker
 from tgmc.buchi import build_buchi
 from tgmc.checker import (DEFAULT_MAX_PRODUCT_STATES, Lasso, Product,
                           ResourceCapExceeded, Verdict, check_spec,
-                          combined_formula, nested_dfs, replay_lasso)
+                          combined_formula, nested_dfs, reference_successors,
+                          replay_lasso)
 from tgmc.core import LinearForm, ModelError
 from tgmc.dsl import parse_model, parse_params_binding
 from tgmc.harness import load_builtin, read_manifest

@@ -118,6 +118,32 @@ def test_non_utf8_files_are_usage_errors(capsys, tmp_path, kind, argv):
     assert err.startswith(f"error: cannot read {kind} {str(path)!r}: ")
 
 
+@pytest.mark.parametrize("kind", ["model", "manifest", "trace"])
+def test_a_utf8_byte_order_mark_is_skipped(capsys, tmp_path, kind):
+    """Some editors start a UTF-8 file with a byte-order mark; each reader
+    skips it and reads the file as it reads the same file without one."""
+    path = tmp_path / f"bom.{kind}"
+    if kind == "model":
+        text = (resources.files("tgmc") / "models" / "clean.tg").read_text(
+            encoding="utf-8")
+        argv = ["paths", "--model", str(path)]
+        expected = run_cli(capsys, "paths", "--model", "builtin:clean")
+    elif kind == "manifest":
+        text = ("model,params,spec,expected,tier\n"
+                'clean,"n=3,t=3",unforg,violated,required\n')
+        argv = ["bench", "--manifest", str(path), "--out", str(tmp_path / "r.csv")]
+        expected = (0, "1 cases: 1 match, 0 mismatch, 0 inconclusive, "
+                       "0 skipped\n", "")
+    else:
+        run_cli(capsys, "check", "--model", "builtin:clean", "--params",
+                "n=3,t=3", "--spec", "unforg", "--trace", str(path))
+        text = path.read_text(encoding="utf-8")
+        argv = ["check", "--model", "builtin:clean", "--verify-trace", str(path)]
+        expected = (0, "trace valid: replays and witnesses the violation\n", "")
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert run_cli(capsys, *argv) == expected
+
+
 def test_check_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", "--model", "builtin:byz")
     assert code == 2
@@ -312,6 +338,23 @@ def test_bench_bad_manifest(capsys, tmp_path, monkeypatch):
             assert exit_info.value.code == 2
             assert option in capsys.readouterr().err
     assert runs == []
+
+
+def test_bench_refuses_to_overwrite_its_manifest(capsys, tmp_path):
+    """--out naming the manifest, by its path or another, is a usage error
+    before anything is opened; the manifest is left as it was."""
+    manifest = tmp_path / "m.csv"
+    text = ("model,params,spec,expected,tier\n"
+            'clean,"n=3,t=3",unforg,violated,required\n')
+    manifest.write_text(text)
+    alias = tmp_path / "alias.csv"
+    alias.symlink_to(manifest)
+    for out in (manifest, alias):
+        code, stdout, err = run_cli(capsys, "bench", "--manifest", str(manifest),
+                                    "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: --out {str(out)!r} is the manifest file\n"
+        assert manifest.read_text() == text
 
 
 def test_paths_command(capsys):

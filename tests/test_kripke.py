@@ -1,16 +1,19 @@
 """System instances: initial states, interleaving, symmetry, labeling."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from oracles import (eval_atomic_prop, multiset_count, naive_step_successors,
-                     reference_initial_states, reference_successors)
+                     naive_successors, random_model_text,
+                     reference_initial_states)
 from tgmc import kripke
 from tgmc.buchi import build_buchi
-from tgmc.checker import Product, combined_formula, nested_dfs
+from tgmc.checker import (Product, check_spec, combined_formula, nested_dfs,
+                          reference_successors)
 from tgmc.core import LinearForm, ModelError, make_valuation
-from tgmc.dsl import parse_model
+from tgmc.dsl import format_model, parse_model
 from tgmc.harness import TRACE_MAGIC, load_builtin, parse_trace
 from tgmc.kripke import Instance
 from tgmc.ltl import LessProp, StatusProp, negate_to_nnf
@@ -302,6 +305,32 @@ def test_packed_graph_matches_the_reference(model, env, symmetry, reachable):
     assert views == reference_reachable(Instance(model, env, symmetry=symmetry))
 
 
+def test_random_models_match_the_reference():
+    """Models with several locals and shareds, where an entry's values are
+    read by position (every builtin declares one of each): each model
+    round-trips through the formatter, its instances at n = 1, 2, 3 walk as
+    the reference does in both modes, every successor set equals the one
+    found with values looked up by name, and symmetry changes no verdict."""
+    rng = random.Random("random-models")
+    verdicts = Counter()
+    for i in range(100):
+        text = random_model_text(rng, f"random{i}")
+        model = parse_model(text)
+        assert parse_model(format_model(model)) == model, text
+        for n in (1, 2, 3):
+            for symmetry in (True, False):
+                inst = Instance(model, {"n": n}, symmetry=symmetry)
+                memo = {}
+                for view in walk_against_reference(inst):
+                    assert set(decoded(inst, inst.successors(inst.encode(view)))) \
+                        == naive_successors(inst, view, memo), (text, view)
+            status = {check_spec(model, {"n": n}, "prop", symmetry=symmetry).status
+                      for symmetry in (True, False)}
+            assert len(status) == 1, (text, n, status)
+            verdicts[status.pop()] += 1
+    assert verdicts["holds"] >= 50 and verdicts["violated"] >= 50, verdicts
+
+
 def test_a_full_field_raises_instead_of_wrapping(monkeypatch):
     # With 8-bit fields, entry id 256 of the raw instance does not fit.
     monkeypatch.setattr(kripke, "_FIELD_BITS", 8)
@@ -320,17 +349,24 @@ def test_a_full_field_raises_instead_of_wrapping(monkeypatch):
 @pytest.mark.parametrize("symmetry", [True, False], ids=["symmetric", "raw"])
 def test_flat_successor_store_matches_successors(monkeypatch, symmetry):
     """Two specs in a row over one instance: the second reads the runs the
-    first stored, and every run reads back as the successors' ids."""
+    first stored, and every run reads back as the successors' ids, equal to
+    and of the same type as what the call that stored it returned."""
     model = load_builtin("byz")
     inst = Instance(model, {"n": 4, "t": 1, "f": 1}, symmetry=symmetry)
-    expanded = []
-    successors = Instance.successors
+    expanded, first = [], {}
+    successors, successor_ids = Instance.successors, Instance.successor_ids
 
     def counting_successors(self, state):
         expanded.append(state)
         return successors(self, state)
 
+    def recording_successor_ids(self, gid):
+        ids = successor_ids(self, gid)
+        first.setdefault(gid, ids)
+        return ids
+
     monkeypatch.setattr(Instance, "successors", counting_successors)
+    monkeypatch.setattr(Instance, "successor_ids", recording_successor_ids)
     sizes = []
     for spec in ("unforg", "corr"):
         ba = build_buchi(negate_to_nnf(combined_formula(model, spec, True)))
@@ -341,7 +377,9 @@ def test_flat_successor_store_matches_successors(monkeypatch, symmetry):
     assert 0 < sizes[0] < sizes[1]
     assert len(set(expanded)) == len(expanded)
     monkeypatch.setattr(Instance, "successors", successors)
+    monkeypatch.setattr(Instance, "successor_ids", successor_ids)
     for state in expanded:
         gid = inst.state_id(state)
-        assert list(inst.successor_ids(gid)) == \
-            [inst.state_id(s) for s in inst.successors(state)]
+        ids = inst.successor_ids(gid)
+        assert type(ids) is type(first[gid]) and ids == first[gid]
+        assert list(ids) == [inst.state_id(s) for s in inst.successors(state)]

@@ -25,12 +25,17 @@ inverse.
 
 The state graph is built on demand and shared by every search over the
 instance.  States are interned to dense ids (gids).  The successor ids of
-every expanded state lie back to back in one flat ``array('i')``, each run
+every expanded state lie back to back in one flat ``array``, each run
 prefixed by its length; since states are expanded in search order, not gid
-order, an offset per gid (``array('q')``) finds each state's run.  So a
-state costs its packed int, its slot in the id dict and in ``states``, 8
-bytes of offset, 4 bytes of length prefix once it is expanded, and 4 bytes
-per successor.
+order, an offset per gid finds each state's run.  Each array starts at the
+narrowest typecode its values need and is replaced by a wider copy
+(``widen``) when a value outgrows it: the ids are ``'H'`` (2 bytes) until
+an expansion could intern the 65,536th state, then ``'i'`` (4 bytes), and
+the offsets ``'i'``, then ``'q'``.  So a state costs its packed int, its
+slot in the id dict and in ``states``, 4 bytes of offset, a length prefix
+once it is expanded, and one id per successor, prefix and ids 2 bytes each
+up to about 65,535 states and 4 past them: the paper's n=10 and n=11
+instances (``byz`` at n=10,t=3,f=3 has 85,234 states) keep 4-byte ids.
 
 Parameters are factored out of states: every state of an instance shares the
 instance's binding, so transitions preserve parameters by construction.
@@ -60,6 +65,20 @@ EngineState = tuple[tuple[ProcEntry, ...], tuple[int, ...]]
 
 _FIELD_BITS = 32
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
+
+# The typecode a store widens to from each narrower one, and the largest
+# value of every typecode on the way.
+_WIDER = {"b": "h", "h": "i", "H": "i", "i": "q"}
+_TOP = {code: (1 << 8 * array(code).itemsize - code.islower()) - 1
+        for code in "bhHiq"}
+
+
+def widen(store: array, top: int) -> array:
+    """``store`` if it holds ``top``, else a copy of it at the narrowest
+    wider typecode that does.  Every value of a typecode fits the next."""
+    while top > _TOP[store.typecode]:
+        store = array(_WIDER[store.typecode], store)
+    return store
 
 
 class Instance:
@@ -101,11 +120,11 @@ class Instance:
         # this instance: states interned to dense ids (gids), and the
         # successor ids of every expanded state as one run of ``_succ``: at
         # offset ``_succ_at[gid]`` (-1 until expanded) the run's length, then
-        # the ids.
+        # the ids.  Both arrays widen (``widen``) as their values grow.
         self.states: list[int] = []
         self._state_ids: dict[int, int] = {}
-        self._succ = array("i")
-        self._succ_at = array("q")
+        self._succ = array("H")
+        self._succ_at = array("i")
 
     # -- packing --------------------------------------------------------------
 
@@ -258,25 +277,35 @@ class Instance:
     # -- state graph ----------------------------------------------------------
 
     def state_id(self, state: int) -> int:
-        """The dense id of ``state``, interning it on first sight."""
+        """The dense id of ``state``, interning it on first sight.  The id
+        dict is written last, so an exception between the writes leaves at
+        most an unused offset slot or an entry of ``states`` that no id
+        names, never one id for two states."""
         gid = self._state_ids.get(state)
         if gid is None:
             gid = len(self.states)
-            self._state_ids[state] = gid
-            self.states.append(state)
             self._succ_at.append(-1)
+            self.states.append(state)
+            self._state_ids[state] = gid
         return gid
 
     def successor_ids(self, gid: int) -> Sequence[int]:
         """Ids of the successors of state ``gid``, in ``successors`` order,
         as a slice of the flat store; ``successors`` runs at most once per
-        state."""
-        succ, at = self._succ, self._succ_at[gid]
+        state.  A run is recorded once complete: the store is first widened
+        to hold every id the run can intern, and the offset written last,
+        so an exception while interning leaves an unread partial run."""
+        at = self._succ_at[gid]
         if at < 0:
             successors = self.successors(self.states[gid])
-            self._succ_at[gid] = at = len(succ)
+            self._succ = succ = widen(self._succ,
+                                      len(self.states) + len(successors))
+            at = len(succ)
             succ.append(len(successors))
             succ.extend(map(self.state_id, successors))
+            self._succ_at = widen(self._succ_at, at)
+            self._succ_at[gid] = at
+        succ = self._succ
         return succ[at + 1:at + 1 + succ[at]]
 
     # -- labeling -------------------------------------------------------------

@@ -380,6 +380,64 @@ def test_check_spec_resource_cap():
     assert after == outcome(check_spec(model, env, "corr"))
 
 
+def test_an_interrupted_check_leaves_no_graph_behind(monkeypatch):
+    """A check that an exception ends (here a KeyboardInterrupt on the
+    500th interned state) drops the cached instance, so the next check of
+    the same instance counts what a fresh one does."""
+    model = load_builtin("byz")
+    env = {"n": 5, "t": 1, "f": 1}
+    checker._instance.cache_clear()
+    fresh = outcome(check_spec(model, env, "relay"))
+    checker._instance.cache_clear()
+    state_id, calls = Instance.state_id, []
+
+    def failing_state_id(self, state):
+        calls.append(state)
+        if len(calls) == 500:
+            raise KeyboardInterrupt
+        return state_id(self, state)
+
+    monkeypatch.setattr(Instance, "state_id", failing_state_id)
+    with pytest.raises(KeyboardInterrupt):
+        check_spec(model, env, "relay")
+    assert checker._instance.cache_info().currsize == 0
+    monkeypatch.setattr(Instance, "state_id", state_id)
+    assert outcome(check_spec(model, env, "relay")) == fresh
+
+
+def test_a_product_of_more_letters_than_a_byte_holds():
+    """With a letter function that gives every state a letter of its own
+    (bits above the automaton's propositions, which no label reads), the
+    letter store widens past 127 ids, every state is labelled once, and
+    the search finds what it finds with the true letters."""
+    model = load_builtin("byz")
+    env = {"n": 5, "t": 1, "f": 1}
+    ba = build_buchi(negate_to_nnf(combined_formula(model, "relay", True)))
+    inst = Instance(model, env)
+    plain = Product(inst, ba)
+    expected = nested_dfs(plain.initial_nodes(), plain.successors,
+                          plain.is_accepting)
+    product = Product(inst, ba)
+    assert product._letter.typecode == "b"
+    true_letter, labelled = product._letter_of, []
+
+    def own_letter(state):
+        labelled.append(state)
+        return true_letter(state) | inst.state_id(state) << len(ba.aps)
+
+    product._letter_of = own_letter
+    found = nested_dfs(product.initial_nodes(), product.successors,
+                       product.is_accepting)
+    assert found == expected and product.transitions == plain.transitions
+    assert product.kripke_state_count() == plain.kripke_state_count() > 128
+    assert len(labelled) == len(set(labelled)) == product.kripke_state_count()
+    assert product._letter.typecode == "h"
+    by_id = list(product._letter_ids)
+    assert all(by_id[product._letter[gid]]
+               == true_letter(inst.states[gid]) | gid << len(ba.aps)
+               for gid in map(inst.state_id, labelled))
+
+
 def test_replay_rejects_corrupted_lassos():
     model = load_builtin("clean")
     verdict = check_spec(model, {"n": 3, "t": 3}, "unforg")

@@ -1,6 +1,7 @@
 """System instances: initial states, interleaving, symmetry, labeling."""
 
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -349,8 +350,9 @@ def test_a_full_field_raises_instead_of_wrapping(monkeypatch):
 @pytest.mark.parametrize("symmetry", [True, False], ids=["symmetric", "raw"])
 def test_flat_successor_store_matches_successors(monkeypatch, symmetry):
     """Two specs in a row over one instance: the second reads the runs the
-    first stored, and every run reads back as the successors' ids, equal to
-    and of the same type as what the call that stored it returned."""
+    first stored, and every run reads back as the successors' ids, an
+    ``array`` equal to what the call that stored it returned (a later read
+    may come from a wider copy of the store)."""
     model = load_builtin("byz")
     inst = Instance(model, {"n": 4, "t": 1, "f": 1}, symmetry=symmetry)
     expanded, first = [], {}
@@ -381,5 +383,103 @@ def test_flat_successor_store_matches_successors(monkeypatch, symmetry):
     for state in expanded:
         gid = inst.state_id(state)
         ids = inst.successor_ids(gid)
-        assert type(ids) is type(first[gid]) and ids == first[gid]
+        assert isinstance(ids, array) and ids == first[gid]
         assert list(ids) == [inst.state_id(s) for s in inst.successors(state)]
+
+
+def expand_all(inst):
+    """Expand every reachable state of ``inst`` by ``successor_ids``;
+    returns the expanded gids in order and the store's typecode after each."""
+    todo = [inst.state_id(state) for state in inst.initial_states()]
+    seen, order, codes = set(todo), [], []
+    while todo:
+        gid = todo.pop()
+        for succ in inst.successor_ids(gid):
+            if succ not in seen:
+                seen.add(succ)
+                todo.append(succ)
+        order.append(gid)
+        codes.append(inst._succ.typecode)
+    return order, codes
+
+
+def assert_runs_match_successors(inst, gids):
+    for gid in gids:
+        assert list(inst.successor_ids(gid)) == [
+            inst.state_id(s) for s in inst.successors(inst.states[gid])], gid
+
+
+@pytest.mark.parametrize("code, wider", [("b", "h"), ("h", "i"), ("H", "i"),
+                                         ("i", "q")])
+def test_widen_steps_up_one_rung(code, wider):
+    top = kripke._TOP[code]
+    values = [0, top] + ([-1] if code.islower() else [])
+    store = array(code, values)
+    assert kripke.widen(store, top) is store
+    wide = kripke.widen(store, top + 1)
+    assert wide.typecode == wider and list(wide) == values
+    wide.append(top + 1)                # it holds the value it widened for
+    assert store.typecode == code       # the original is left as it was
+
+
+def test_widen_climbs_as_many_rungs_as_the_value_needs():
+    assert kripke.widen(array("b", [-1]), 0x8000).typecode == "i"
+    assert kripke.widen(array("b", [-1]), 1 << 40) == array("q", [-1])
+    assert kripke.widen(array("H"), 1 << 31).typecode == "q"
+    assert kripke.widen(array("q"), kripke._TOP["q"]).typecode == "q"
+
+
+def test_successor_store_widens_past_65535_states():
+    """An instance of 85,234 states: its ids start as 2-byte ``'H'`` and
+    end as ``'i'``, and every run, also those stored before the switch,
+    reads back as its successors' ids."""
+    inst = Instance(load_builtin("symm"), {"n": 7, "t": 3, "fp": 0, "fs": 3})
+    assert inst._succ.typecode == "H" and inst._succ_at.typecode == "i"
+    order, codes = expand_all(inst)
+    assert len(inst.states) == 85_234
+    switch = codes.index("i")
+    assert 0 < switch and set(codes[switch:]) == {"i"}
+    assert_runs_match_successors(inst, order)
+
+
+def test_an_interrupted_expansion_records_no_run(monkeypatch):
+    """An exception while a run's successors are interned leaves no run
+    for that state: expanding it again stores the whole run."""
+    inst = Instance(load_builtin("byz"), {"n": 5, "t": 1, "f": 1})
+    state_id, calls = Instance.state_id, []
+
+    def failing_state_id(self, state):
+        calls.append(state)
+        if len(calls) == 500:
+            raise KeyboardInterrupt
+        return state_id(self, state)
+
+    monkeypatch.setattr(Instance, "state_id", failing_state_id)
+    with pytest.raises(KeyboardInterrupt):
+        expand_all(inst)
+    monkeypatch.setattr(Instance, "state_id", state_id)
+    order, _ = expand_all(inst)
+    assert_runs_match_successors(inst, order)
+
+
+def test_an_interrupted_intern_names_no_state_twice():
+    """An exception between ``state_id``'s writes never gives two states
+    one id."""
+    class FailingList(list):
+        def append(self, item):
+            if len(self) == 3:
+                raise KeyboardInterrupt
+            super().append(item)
+
+    inst = byz_instance()
+    inst.states = FailingList()
+    first, second, third, fourth = inst.initial_states()[:4]
+    ids = [inst.state_id(state) for state in (first, second, third)]
+    with pytest.raises(KeyboardInterrupt):
+        inst.state_id(fourth)
+    inst.states = list(inst.states)
+    ids += [inst.state_id(fourth), inst.state_id(first)]
+    assert ids == [0, 1, 2, 3, 0]
+    assert all(inst.states[inst.state_id(state)] == state
+               for state in (first, second, third, fourth))
+    assert len(inst._succ_at) >= len(inst.states)

@@ -7,7 +7,10 @@ recursion limit.  The product it searches labels each state of the instance
 once, with its *letter* from ``Instance.compile_ap``: the bitmask of the
 propositions true in it.  Each distinct letter gets a small id, and one row
 per automaton state lists, per letter id, the automaton successors that the
-letter lets in; so an edge of the product is read, not tested.
+letter lets in; so an edge of the product is read, not tested.  Automaton
+states with equal successor tuples share one row, and an expansion that
+repeats the one just before it (the same state, under the same row, as a
+self-loop gives in the raw interleaving) returns the list it built then.
 
 Every reported lasso is replay-validated before the verdict is returned:
 each transition is re-checked against ``reference_successors`` (the one
@@ -202,6 +205,16 @@ class Product:
     appears.  So expanding a node, or the initial states, reads one slot
     and one row entry per Kripke state, and the rows grow with the distinct
     letters seen, not with the 2^|aps| possible ones.
+
+    Automaton states with equal successor tuples share one row object
+    (tableau nodes with equal ``next`` obligations have equal successors),
+    so a new letter fills each distinct row once.  ``successors`` keeps
+    the gid, the row and the list of its last expansion, and when the next
+    call has the same gid and the same row it returns that list again,
+    counting its edges again in ``transitions``.  The reuse is exact: a
+    row only grows, by entries for new letter ids, and a gid's successor
+    run and letter id are fixed once stored.  The searches only iterate
+    the lists they get, so two stack frames may share one.
     """
 
     def __init__(self, inst: Instance, ba: BuchiAutomaton):
@@ -212,9 +225,14 @@ class Product:
         self._accept_flags = [q in ba.accepting for q in range(ba.n_states())]
         self._letter = array("b")               # gid -> letter id, or -1
         self._letter_ids: dict[int, int] = {}    # letter -> id, in id order
-        # One row per automaton state, then the row of the initial states.
-        self._entered = [*ba.succ, ba.initial]
-        self._moves: list[list[list[int]]] = [[] for _ in self._entered]
+        # One row per automaton state, then the row of the initial states;
+        # states with equal successor tuples share one row object.
+        rows: dict[tuple[int, ...], list[list[int]]] = {}
+        self._moves = [rows.setdefault(states, [])
+                       for states in (*ba.succ, ba.initial)]
+        self._rows = list(rows.items())          # (successor tuple, row)
+        # The gid, the row and the output list of the last expansion.
+        self._last: tuple = (-1, None, [])
         self.transitions = 0
 
     def _label(self, gid: int) -> int:
@@ -223,7 +241,7 @@ class Product:
         lid = self._letter_ids.get(letter)
         if lid is None:
             lid = self._letter_ids[letter] = len(self._letter_ids)
-            for row, states in zip(self._moves, self._entered):
+            for states, row in self._rows:
                 row.append(self.ba.entered(states, letter))
             self._letter = widen(self._letter, lid)
         self._letter[gid] = lid
@@ -236,7 +254,11 @@ class Product:
 
     def successors(self, node: int) -> list[int]:
         gid, q = divmod(node, self.nq)
-        out = self._expand(self.inst.successor_ids(gid), self._moves[q])
+        row = self._moves[q]
+        last_gid, last_row, out = self._last
+        if gid != last_gid or row is not last_row:
+            out = self._expand(self.inst.successor_ids(gid), row)
+            self._last = gid, row, out
         self.transitions += len(out)
         return out
 

@@ -191,7 +191,8 @@ def summarize(records: list[RunRecord]) -> str:
     ran = [r for r in records if r.verdict != "skip"]
     matches = sum(1 for r in ran if r.match is True)
     mismatches = [r for r in records if r.match is False]
-    inconclusive = sum(1 for r in ran if r.verdict == "inconclusive")
+    # A required row that ends inconclusive is counted as a mismatch only.
+    inconclusive = sum(1 for r in ran if r.match is None)
     skipped = len(records) - len(ran)
     lines = [f"{len(records)} cases: {matches} match, "
              f"{len(mismatches)} mismatch, {inconclusive} inconclusive, "

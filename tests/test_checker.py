@@ -1,5 +1,6 @@
 """Product emptiness search, verdicts, replay validation."""
 
+import functools
 import importlib.util
 import random
 from collections import deque
@@ -158,44 +159,63 @@ def test_product_counts_are_consistent():
 # by the reference successor relation, with every automaton successor's
 # label tested by evaluating its propositions on the decoded state.
 
+class NaiveProduct:
+    """The naive product of ``product``'s instance and automaton.
+    ``truths`` maps each state it labelled to its truth per ``ba.aps``."""
+
+    def __init__(self, product):
+        self.inst, self.ba, self.nq = product.inst, product.ba, product.nq
+        self.truths: dict = {}
+        self._moves: dict = {}
+        self._next: dict = {}       # gid -> (gid2, truth) per successor
+        self._meets = functools.cache(self._label_holds)
+
+    def _labelled(self, state) -> tuple:
+        truth = self.truths.get(state)
+        if truth is None:
+            truth = self.truths[state] = tuple(
+                eval_atomic_prop(ap, state, self.inst.model, self.inst.env)
+                for ap in self.ba.aps)
+        return self.inst.state_id(self.inst.encode(state)), truth
+
+    def _label_holds(self, q: int, truth: tuple) -> bool:
+        """Whether every literal of automaton state q's label holds."""
+        need_true, need_false = self.ba.labels[q]
+        return all(truth[i] == (need_true >> i & 1 == 1)
+                   for i in range(len(truth)) if (need_true | need_false) >> i & 1)
+
+    def _entered(self, states, labelled) -> list[int]:
+        """Per labelled state, the automaton states among ``states`` whose
+        label it meets, as product nodes of that state."""
+        return [gid * self.nq + q for gid, truth in labelled
+                for q in states if self._meets(q, truth)]
+
+    def initial_nodes(self) -> list[int]:
+        return self._entered(self.ba.initial, map(
+            self._labelled, reference_initial_states(self.inst)))
+
+    def successors(self, node: int) -> list[int]:
+        gid, q = divmod(node, self.nq)
+        labelled = self._next.get(gid)
+        if labelled is None:
+            inst = self.inst
+            labelled = self._next[gid] = [
+                self._labelled(state) for state in reference_successors(
+                    inst, inst.decode(inst.states[gid]), self._moves)]
+        return self._entered(self.ba.succ[q], labelled)
+
+
 def assert_product_is_naive(product) -> None:
     """Expand every node the product reaches and compare it, in order, with
     the naive product; also the counts the product keeps."""
-    inst, ba, nq = product.inst, product.ba, product.nq
-    truths: dict = {}               # tuple-form state -> truth per ba.aps
-
-    def entered(states, state) -> list[int]:
-        """The automaton states among ``states`` whose literals all hold in
-        the tuple-form ``state``, as product nodes of that state."""
-        gid = inst.state_id(inst.encode(state))
-        truth = truths.get(state)
-        if truth is None:
-            truth = truths[state] = [
-                eval_atomic_prop(ap, state, inst.model, inst.env)
-                for ap in ba.aps]
-        out = []
-        for q in states:
-            need_true, need_false = ba.labels[q]
-            if all(truth[i] == (need_true >> i & 1 == 1)
-                   for i in range(len(truth)) if (need_true | need_false) >> i & 1):
-                out.append(gid * nq + q)
-        return out
-
+    naive = NaiveProduct(product)
     initial = product.initial_nodes()
-    naive = []
-    for state in reference_initial_states(inst):
-        naive += entered(ba.initial, state)
-    assert initial == naive
-    seen, queue, moves, edges = set(initial), deque(initial), {}, 0
+    assert initial == naive.initial_nodes()
+    seen, queue, edges = set(initial), deque(initial), 0
     while queue:
         node = queue.popleft()
         out = product.successors(node)
-        gid, q = divmod(node, nq)
-        naive = []
-        for state in reference_successors(inst, inst.decode(inst.states[gid]),
-                                          moves):
-            naive += entered(ba.succ[q], state)
-        assert out == naive, (node, out, naive)
+        assert out == naive.successors(node), node
         edges += len(out)
         for child in out:
             if child not in seen:
@@ -204,7 +224,7 @@ def assert_product_is_naive(product) -> None:
     assert product.transitions == edges
     # Every state the product met is labelled once: the initial states and
     # the successors of the expanded nodes.
-    assert product.kripke_state_count() == len(truths)
+    assert product.kripke_state_count() == len(naive.truths)
 
 
 def smallest_bindings() -> dict[str, str]:
@@ -235,6 +255,50 @@ def test_product_matches_the_naive_product(model_name, symmetry):
             inst = Instance(model, env, symmetry=symmetry)
             product = Product(inst, build_buchi(negate_to_nnf(formula)))
             assert_product_is_naive(product)
+
+
+@pytest.mark.parametrize("model_name, params, symmetry", [
+    ("omit", "n=5,t=2,f=2", False), ("byz", "n=7,t=2,f=2", True)])
+def test_a_search_reuses_only_equal_expansions(model_name, params, symmetry,
+                                               monkeypatch):
+    # nested_dfs expands a state with a self-loop again right after itself,
+    # under another automaton state; when the two share a successor row the
+    # product hands back the list it built before.  Each list the search
+    # gets must still be the naive product's, and the counts its sum.
+    model = load_builtin(model_name)
+    inst = Instance(model, parse_params_binding(params, model),
+                    symmetry=symmetry)
+    ba = build_buchi(negate_to_nnf(combined_formula(model, "relay", True)))
+    product = Product(inst, ba)
+    entered = [*ba.succ, ba.initial]
+    assert len(set(entered)) < len(entered)
+    assert len({id(row) for row in product._moves}) == len(set(entered))
+    assert all((row is other) == (states == others)
+               for row, states in zip(product._moves, entered)
+               for other, others in zip(product._moves, entered))
+
+    naive = NaiveProduct(product)
+    expanded, built = [], []
+    successors, successor_ids = Product.successors, Instance.successor_ids
+
+    def checked_successors(self, node):
+        out = successors(self, node)
+        assert out == naive.successors(node), node
+        expanded.append(len(out))
+        return out
+
+    def counted_successor_ids(self, gid):
+        built.append(gid)
+        return successor_ids(self, gid)
+
+    monkeypatch.setattr(Product, "successors", checked_successors)
+    monkeypatch.setattr(Instance, "successor_ids", counted_successor_ids)
+    result, _ = nested_dfs(product.initial_nodes(), product.successors,
+                           product.is_accepting)
+    assert result is None
+    assert product.transitions == sum(expanded)
+    if not symmetry:
+        assert len(built) < len(expanded)
 
 
 def wide_clean_model():

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -368,6 +369,14 @@ def test_paths_command(capsys):
     assert "4 step paths" in out
 
 
+def source_env() -> dict[str, str]:
+    """The environment of a ``python -m tgmc.cli`` subprocess that imports
+    this checkout's package."""
+    source_root = str(Path(tgmc.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source_root, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("argv,expected", [
     (["check", "--model", "builtin:byz", "--params", "n=7,t=1,f=2",
       "--spec", "relay", "--format", "json"], 1),
@@ -375,18 +384,37 @@ def test_paths_command(capsys):
       str(resources.files("tgmc") / "tables" / "table1.csv")], 0),
 ])
 def test_closed_stdout_keeps_the_exit_code(argv, expected):
-    source_root = str(Path(tgmc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [source_root, os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)              # the reader is gone before the first write
     try:
         proc = subprocess.run([sys.executable, "-m", "tgmc.cli", *argv],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              text=True, env=env, check=False)
+                              text=True, env=source_env(), check=False)
     finally:
         os.close(write_end)
     assert proc.returncode == expected, proc.stderr
     assert "Broken pipe" not in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+def test_bench_results_do_not_depend_on_jobs(tmp_path):
+    # Real worker processes, not a serial stand-in: every column of the
+    # result CSV but the timing, and the summary, match a serial run.
+    manifest = str(resources.files("tgmc") / "tables" / "table1.csv")
+    results = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tgmc.cli", "bench", "--manifest", manifest,
+             "--jobs", str(jobs), "--out", str(out)],
+            capture_output=True, text=True, env=source_env(), timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        with out.open(newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        for row in rows:
+            del row["elapsed_ms"]
+        results[jobs] = (rows, proc.stdout)
+    rows, summary = results[1]
+    assert len(rows) == 21 and summary.startswith("21 cases: 21 match")
+    assert results[2] == results[1]

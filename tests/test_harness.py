@@ -226,6 +226,14 @@ def test_exit_codes_and_summary_lines():
     summary = summarize([ok, mismatch, undecided, skipped])
     assert "MISMATCH" in summary
     assert "1 inconclusive" in summary
+    # A required row that ends inconclusive is a mismatch, counted once:
+    # the four counts add up to the cases, and its line names the cause.
+    stuck = RunRecord(GOOD_CASE, "inconclusive", False)
+    lines = summarize([ok, mismatch, undecided, stuck, skipped]).splitlines()
+    assert lines[0] == ("5 cases: 1 match, 2 mismatch, 1 inconclusive, "
+                        "1 skipped")
+    assert lines[2] == ("  MISMATCH byz [n=4,t=1,f=1] unforg: "
+                        "expected holds, got inconclusive")
 
 
 def test_render_state_format():

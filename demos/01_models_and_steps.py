@@ -7,9 +7,10 @@ location is one atomic step: receive some messages, maybe echo, maybe accept.
 """
 
 from tgmc.cfa import enumerate_paths, step_successors
-from tgmc.core import check_resilience, make_valuation
+from tgmc.core import check_resilience
 from tgmc.dsl import format_model
 from tgmc.harness import BUILTIN_NAMES, load_builtin
+from tgmc.kripke import Instance
 
 model = load_builtin("byz")
 
@@ -35,7 +36,8 @@ print()
 
 print("=== one process, one step ===")
 env = {"n": 7, "t": 2, "f": 2}
-v = make_valuation("V1", {"rcvd": 0}, {"nsnt": 0}, env)
+# A process is (status index, local values); the shareds are a tuple too.
+v = Instance(model, env).valuation((model.statuses.index("V1"), (0,)), (0,))
 print(f"from sv=V1, rcvd=0, nsnt=0 under {env}, a process may step to:")
 for nxt in step_successors(v, model.cfa):
     print(f"  sv={nxt.status}  rcvd={nxt.value('rcvd')}  nsnt={nxt.value('nsnt')}")

@@ -8,7 +8,7 @@ space for an accepting cycle - a single infinite run that breaks the spec.
 """
 
 from tgmc.buchi import build_buchi
-from tgmc.checker import buchi_accepts_lasso, combined_formula
+from tgmc.checker import combined_formula
 from tgmc.harness import load_builtin
 from tgmc.ltl import (eval_formula_on_lasso, formula_aps, negate_to_nnf,
                       render_formula)
@@ -35,9 +35,8 @@ print("`spec OR inequity`: a run only counts against the spec if every")
 print("pending message is eventually delivered.")
 print()
 
-print("=== automata and the evaluator agree on concrete words ===")
+print("=== the evaluator on concrete words ===")
 f = model.spec("relay").formula
-ba = build_buchi(f)
 by_text = {ap.render(): ap for ap in formula_aps(f)}
 some_ac = by_text["some(sv == AC)"]
 all_ac = by_text["all(sv == AC)"]
@@ -50,6 +49,6 @@ words = {
 }
 for label, (prefix, cycle) in words.items():
     by_eval = eval_formula_on_lasso(f, prefix, cycle)
-    by_auto = buchi_accepts_lasso(build_buchi(f), prefix, cycle)
-    assert by_eval == by_auto
     print(f"  {label:<32} -> {'satisfied' if by_eval else 'falsified'}")
+print("(the tests cross-check the automaton on such words: the checker's")
+print("product of a word with it must accept exactly the satisfied ones)")

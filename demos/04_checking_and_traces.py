@@ -16,9 +16,9 @@ model = load_builtin("byz")
 
 print("=== a healthy instance: all three specs hold ===")
 env = parse_params_binding("n=7,t=2,f=2", model)
-for spec in model.spec_names():
-    verdict = check_spec(model, env, spec)
-    print(f"  byz n=7,t=2,f=2 {spec:<6} -> {verdict.status}   "
+for spec in model.specs:
+    verdict = check_spec(model, env, spec.name)
+    print(f"  byz n=7,t=2,f=2 {spec.name:<6} -> {verdict.status}   "
           f"({verdict.product_states} product states, "
           f"{verdict.elapsed_ms} ms)")
 print()

@@ -18,8 +18,7 @@ tuple-form successor relation, over ``cfa.step_successors``, that replay and
 the tests share), each state's propositions are re-evaluated by
 ``ltl.ap_holds`` on its processes' valuations, and the negated formula on
 the lasso's word by the direct fixpoint evaluator.  A verdict is therefore
-never justified by the search alone.  The same search decides whether an
-automaton accepts one lasso word (buchi_accepts_lasso).
+never justified by the search alone.
 """
 
 from __future__ import annotations
@@ -299,33 +298,6 @@ class Product:
                            if letter >> bit & 1) for letter in letters]
         split = len(prefix_nodes)
         return Lasso(states[:split], states[split:], truth)
-
-
-def buchi_accepts_lasso(ba: BuchiAutomaton, prefix_letters, cycle_letters) -> bool:
-    """Membership of the ultimately periodic word prefix·cycle^ω, where each
-    letter is a container of the AtomicProps true at its position.
-
-    Runs nested_dfs on the product of the word's position chain with the
-    automaton: node pos * nq + q, entered only if the letter at pos meets
-    q's label.  Used by tests and demos.
-    """
-    if not cycle_letters:
-        raise ModelError("lasso cycle must be non-empty")
-    letters = list(prefix_letters) + list(cycle_letters)
-    masks = [sum(1 << i for i, ap in enumerate(ba.aps) if ap in letter)
-             for letter in letters]
-    nxt = list(range(1, len(letters))) + [len(prefix_letters)]
-    nq = max(ba.n_states(), 1)
-
-    def successors(node: int) -> list[int]:
-        pos, q = divmod(node, nq)
-        pos = nxt[pos]
-        return [pos * nq + q2 for q2 in ba.entered(ba.succ[q], masks[pos])]
-
-    # Position 0's nodes are its automaton states themselves.
-    result, _ = nested_dfs(ba.entered(ba.initial, masks[0]), successors,
-                           lambda node: node % nq in ba.accepting)
-    return result is not None
 
 
 # ---------------------------------------------------------------------------

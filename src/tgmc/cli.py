@@ -17,7 +17,7 @@ import sys
 
 from .checker import DEFAULT_MAX_PRODUCT_STATES, check_spec
 from .cfa import enumerate_paths
-from .core import ModelError, check_resilience
+from .core import ModelError, check_resilience, parse_int
 from .dsl import parse_params_binding
 from .harness import (BUILTIN_NAMES, RunRecord, read_text, render_state,
                       render_trace, resolve_model, run_manifest, summarize,
@@ -51,10 +51,12 @@ def _stdout_may_close():
 
 
 def _at_least_one(text: str) -> int:
+    """An integer option of at least 1, in the integer grammar of
+    ``--params``, manifests and traces."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = parse_int(text, f"invalid int value: {text!r}")
+    except ModelError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

@@ -151,8 +151,9 @@ def check_resilience(rc: ResilienceCondition, env: ParamEnv) -> bool:
 class Valuation(NamedTuple):
     """One process state: status value plus local, shared, and parameter bindings.
 
-    Variable tuples are kept in declaration order; use :func:`make_valuation` or
-    the ``with_*`` helpers rather than building the tuples by hand.
+    Variable tuples are kept in declaration order; ``kripke.Instance.valuation``
+    builds one from an engine state, and the ``with_*`` helpers keep that
+    order.
     """
 
     status: str
@@ -182,12 +183,3 @@ class Valuation(NamedTuple):
             return Valuation(self.status, self.locals, new_shareds, self.params)
         raise ModelError(f"cannot assign to undeclared variable {name!r}")
 
-
-def make_valuation(status: str,
-                   locals_: dict[str, int] | None = None,
-                   shareds: dict[str, int] | None = None,
-                   params: ParamEnv | None = None) -> Valuation:
-    return Valuation(status,
-                     tuple((locals_ or {}).items()),
-                     tuple((shareds or {}).items()),
-                     tuple((params or {}).items()))

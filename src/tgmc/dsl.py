@@ -130,9 +130,6 @@ class ModelDef(NamedTuple):
                 return formula
         raise ModelError(f"model {self.name!r} has no unfairness formula {name!r}")
 
-    def spec_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.specs)
-
 
 # ---------------------------------------------------------------------------
 # Tokenizer.

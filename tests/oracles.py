@@ -6,25 +6,52 @@ path enumeration via networkx, step successors by per-path candidate
 substitution, temporal truth by walking the unique future chain of an
 ultimately periodic word, proposition truth by looking variables up by name,
 and emptiness via strongly connected components — so that agreement with the
-package is evidence, not tautology.  The one exception is the initial states
-in tuple form, listed in the order the packed engine lists them; the tuple-form
-successor relation the tests walk beside them is the runtime's own reference,
-``tgmc.checker.reference_successors``, which counterexample replay trusts.
+package is evidence, not tautology.  The exceptions: the initial states in
+tuple form, listed in the order the packed engine lists them; the tuple-form
+successor relation the tests walk beside them, which is the runtime's own
+reference, ``tgmc.checker.reference_successors``, that counterexample replay
+trusts; and lasso membership in a Büchi automaton, which runs the checker's
+own ``Product`` and ``nested_dfs`` over a lasso word, so that the word
+campaigns exercise the product that ``check_spec`` searches.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+from pathlib import Path
 
 import networkx as nx
 
+import tgmc
 from tgmc.cfa import (EPS, Cfa, Guard, GuardAnd, GuardNot, Inc, Pick, SetStatus,
                       SvEq, ThresholdLe)
-from tgmc.core import LinearForm, Valuation, make_valuation
+from tgmc.checker import Product, nested_dfs
+from tgmc.core import LinearForm, ParamEnv, Valuation
 from tgmc.ltl import (And, AtomicProp, Formula, Future, Globally, LessProp,
                       Literal, Or, Release, StatusProp, Until)
+
+
+def make_valuation(status: str,
+                   locals_: dict[str, int] | None = None,
+                   shareds: dict[str, int] | None = None,
+                   params: ParamEnv | None = None) -> Valuation:
+    """A process valuation from name → value dicts, in their order."""
+    return Valuation(status,
+                     tuple((locals_ or {}).items()),
+                     tuple((shareds or {}).items()),
+                     tuple((params or {}).items()))
+
+
+def source_env() -> dict[str, str]:
+    """The environment of a subprocess that imports the very package this
+    process imported, whether it came from src/ or an install; a relative
+    ``PYTHONPATH`` would not resolve from another working directory."""
+    source_root = str(Path(tgmc.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source_root, os.environ.get("PYTHONPATH")])))
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +112,46 @@ def brute_eval(f: Formula, prefix, cycle) -> bool:
         raise AssertionError(f"unknown node {g!r}")
 
     return ev(f, 0)
+
+
+# ---------------------------------------------------------------------------
+# Lasso membership in a Büchi automaton, through the checker's product.
+
+class LassoWord:
+    """A stand-in for ``kripke.Instance`` whose states are the positions of
+    the word prefix·cycle^ω, each letter a container of the propositions
+    true there: position i steps to i + 1, and the last one to the first
+    of the cycle."""
+
+    def __init__(self, prefix, cycle):
+        assert cycle, "cycle must be non-empty"
+        self.word = list(prefix) + list(cycle)
+        self.states = list(range(len(self.word)))
+        self.loop = len(prefix)
+
+    def initial_states(self) -> list[int]:
+        return [0]
+
+    def state_id(self, state: int) -> int:
+        return state
+
+    def successor_ids(self, gid: int) -> tuple[int]:
+        return (gid + 1 if gid + 1 < len(self.word) else self.loop,)
+
+    def compile_ap(self, aps):
+        masks = [sum(1 << i for i, ap in enumerate(aps) if ap in letter)
+                 for letter in self.word]
+        return masks.__getitem__
+
+
+def accepts_lasso(ba, prefix, cycle) -> bool:
+    """Whether the automaton accepts prefix·cycle^ω, by the search
+    ``check_spec`` runs: ``nested_dfs`` on the ``Product`` of the word with
+    the automaton."""
+    product = Product(LassoWord(prefix, cycle), ba)
+    result, _ = nested_dfs(product.initial_nodes(), product.successors,
+                           product.is_accepting)
+    return result is not None
 
 
 # ---------------------------------------------------------------------------

@@ -9,22 +9,18 @@ Each test reports a single pass/fail line under ``pytest -v``.
 
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
 import time
 from importlib import resources
-from pathlib import Path
 
-import tgmc
-from oracles import (brute_eval, naive_step_successors, nx_step_paths,
-                     random_digraph, random_nnf_formula, random_valuation,
-                     scc_accepting_lasso_exists)
+from oracles import (accepts_lasso, brute_eval, naive_step_successors,
+                     nx_step_paths, random_digraph, random_nnf_formula,
+                     random_valuation, scc_accepting_lasso_exists, source_env)
 from tgmc.buchi import build_buchi
 from tgmc.cfa import enumerate_paths, step_successors
-from tgmc.checker import (buchi_accepts_lasso, check_spec, nested_dfs,
-                          replay_lasso)
+from tgmc.checker import check_spec, nested_dfs, replay_lasso
 from tgmc.core import LinearForm
 from tgmc.dsl import parse_params_binding
 from tgmc.harness import (BUILTIN_NAMES, load_builtin, read_manifest,
@@ -88,16 +84,9 @@ def test_appendix_verdicts_match_published_results():
 # Determinism: identical verdicts, state counts, and traces across runs.
 
 def _run_cli(argv, hashseed, cwd):
-    # The child must run the very package this process imported, whether it
-    # came from src/ or an install; a relative PYTHONPATH would not resolve
-    # from ``cwd``.
-    source_root = str(Path(tgmc.__file__).resolve().parent.parent)
-    pythonpath = [source_root, *filter(None, os.environ.get(
-        "PYTHONPATH", "").split(os.pathsep))]
-    env = dict(os.environ, PYTHONHASHSEED=hashseed,
-               PYTHONPATH=os.pathsep.join(pythonpath))
     return subprocess.run([sys.executable, "-m", "tgmc.cli", *argv],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True,
+                          env=dict(source_env(), PYTHONHASHSEED=hashseed),
                           cwd=str(cwd), check=False)
 
 
@@ -196,7 +185,7 @@ def test_formula_pipeline_agrees_with_brute_force():
             want = brute_eval(formula, prefix, cycle)
             ours = eval_formula_on_lasso(formula, prefix, cycle)
             flipped = brute_eval(complement, prefix, cycle)
-            accepted = buchi_accepts_lasso(automaton, prefix, cycle)
+            accepted = accepts_lasso(automaton, prefix, cycle)
             assert ours == want and flipped != want and accepted == want, \
                 (render_formula(formula), prefix, cycle, want, ours,
                  flipped, accepted)

@@ -6,13 +6,14 @@ import random
 
 import pytest
 
-from oracles import brute_eval, random_nnf_formula
+from oracles import accepts_lasso, brute_eval, random_nnf_formula
 from tgmc.buchi import build_buchi
-from tgmc.checker import buchi_accepts_lasso, combined_formula
-from tgmc.core import LinearForm, ModelError
+from tgmc.checker import combined_formula
+from tgmc.core import LinearForm
 from tgmc.harness import resolve_model
-from tgmc.ltl import (FALSE, TRUE, Future, Globally, LessProp, Literal, Or,
-                      Release, StatusProp, Until, negate_to_nnf)
+from tgmc.ltl import (FALSE, TRUE, Future, Globally, LessProp, Literal,
+                      Release, StatusProp, Until, eval_formula_on_lasso,
+                      formula_aps, negate_to_nnf)
 
 P = StatusProp("some", "AC", True)
 Q = StatusProp("all", "V1", True)
@@ -29,10 +30,10 @@ LPQ = frozenset({P, Q})
 
 def test_globally_p_accepts_exactly_p_omega():
     ba = build_buchi(Globally(p))
-    assert buchi_accepts_lasso(ba, [], [LP])
-    assert buchi_accepts_lasso(ba, [LP, LP], [LP])
-    assert not buchi_accepts_lasso(ba, [], [E])
-    assert not buchi_accepts_lasso(ba, [LP], [LP, E])
+    assert accepts_lasso(ba, [], [LP])
+    assert accepts_lasso(ba, [LP, LP], [LP])
+    assert not accepts_lasso(ba, [], [E])
+    assert not accepts_lasso(ba, [LP], [LP, E])
     # Every state's label requires P true (bit 0 stands for aps[0]).
     assert ba.aps == (P,)
     assert all(need_true == 0b1 and need_false == 0
@@ -42,31 +43,31 @@ def test_globally_p_accepts_exactly_p_omega():
 
 def test_future_p_accepting_behavior():
     ba = build_buchi(Future(p))
-    assert buchi_accepts_lasso(ba, [E, E, LP], [LP])
-    assert buchi_accepts_lasso(ba, [E, E], [LP, E])
-    assert buchi_accepts_lasso(ba, [], [LP])
-    assert not buchi_accepts_lasso(ba, [E], [E])
+    assert accepts_lasso(ba, [E, E, LP], [LP])
+    assert accepts_lasso(ba, [E, E], [LP, E])
+    assert accepts_lasso(ba, [], [LP])
+    assert not accepts_lasso(ba, [E], [E])
 
 
 def test_true_and_false_automata():
     ba_true = build_buchi(TRUE)
-    assert buchi_accepts_lasso(ba_true, [], [E])
-    assert buchi_accepts_lasso(ba_true, [LP], [E, LQ])
+    assert accepts_lasso(ba_true, [], [E])
+    assert accepts_lasso(ba_true, [LP], [E, LQ])
     ba_false = build_buchi(FALSE)
-    assert not buchi_accepts_lasso(ba_false, [], [E])
-    assert not buchi_accepts_lasso(ba_false, [LP], [LPQ])
+    assert not accepts_lasso(ba_false, [], [E])
+    assert not accepts_lasso(ba_false, [LP], [LPQ])
 
 
 def test_until_and_release():
     ba = build_buchi(Until(p, q))
-    assert buchi_accepts_lasso(ba, [LP, LP], [LQ])
-    assert buchi_accepts_lasso(ba, [LQ], [E])
-    assert not buchi_accepts_lasso(ba, [LP, E], [LQ])
-    assert not buchi_accepts_lasso(ba, [LP], [LP])        # q never arrives
+    assert accepts_lasso(ba, [LP, LP], [LQ])
+    assert accepts_lasso(ba, [LQ], [E])
+    assert not accepts_lasso(ba, [LP, E], [LQ])
+    assert not accepts_lasso(ba, [LP], [LP])        # q never arrives
     ba = build_buchi(Release(q, p))
-    assert buchi_accepts_lasso(ba, [], [LP])               # p forever
-    assert buchi_accepts_lasso(ba, [LP], [LPQ, E])         # released at the q
-    assert not buchi_accepts_lasso(ba, [LP], [E])
+    assert accepts_lasso(ba, [], [LP])               # p forever
+    assert accepts_lasso(ba, [LP], [LPQ, E])         # released at the q
+    assert not accepts_lasso(ba, [LP], [E])
 
 
 def test_fairness_shape_automaton():
@@ -74,19 +75,13 @@ def test_fairness_shape_automaton():
     r = Literal(R_AP)
     ba = build_buchi(Future(Globally(r)))
     LR = frozenset({R_AP})
-    assert buchi_accepts_lasso(ba, [E, E], [LR])
-    assert buchi_accepts_lasso(ba, [], [LR, LR])
-    assert not buchi_accepts_lasso(ba, [LR], [LR, E])      # drops out infinitely often
+    assert accepts_lasso(ba, [E, E], [LR])
+    assert accepts_lasso(ba, [], [LR, LR])
+    assert not accepts_lasso(ba, [LR], [LR, E])      # drops out infinitely often
     # G F r accepts that same dropout word.
     ba = build_buchi(Globally(Future(r)))
-    assert buchi_accepts_lasso(ba, [LR], [LR, E])
-    assert not buchi_accepts_lasso(ba, [LR], [E])
-
-
-def test_lasso_membership_requires_cycle():
-    ba = build_buchi(Globally(p))
-    with pytest.raises(ModelError):
-        buchi_accepts_lasso(ba, [LP], [])
+    assert accepts_lasso(ba, [LR], [LR, E])
+    assert not accepts_lasso(ba, [LR], [E])
 
 
 def test_construction_is_deterministic():
@@ -114,8 +109,34 @@ def test_membership_matches_brute_force_on_exhaustive_small_words():
         f = random_nnf_formula(rng, 2, (P, Q))
         ba = build_buchi(f)
         for prefix, cycle in words:
-            assert buchi_accepts_lasso(ba, prefix, cycle) == \
+            assert accepts_lasso(ba, prefix, cycle) == \
                 brute_eval(f, prefix, cycle)
+    # The automata the checker runs: each builtin spec's negated formula,
+    # with fairness and without, on every word of a short prefix and cycle
+    # over the sets of its propositions.
+    checked = set()
+    for model_name, spec in BUILTIN_AUTOMATA:
+        model = resolve_model(model_name)
+        for fairness in (True, False):
+            negated = negate_to_nnf(combined_formula(model, spec, fairness))
+            # clean's formulas equal byz's, and unforg is one formula in
+            # every model: 9 distinct formulas of 24 pairs.
+            if negated in checked:
+                continue
+            checked.add(negated)
+            ba = build_buchi(negated)
+            aps = formula_aps(negated)
+            alphabet = [frozenset(combo) for r in range(len(aps) + 1)
+                        for combo in itertools.combinations(aps, r)]
+            words = [(list(letters[:split]), list(letters[split:]))
+                     for split in (0, 1)
+                     for total in (split + 1, split + 2)
+                     for letters in itertools.product(alphabet, repeat=total)]
+            for prefix, cycle in words:
+                assert accepts_lasso(ba, prefix, cycle) == \
+                    eval_formula_on_lasso(negated, prefix, cycle), \
+                    (model_name, spec, fairness, prefix, cycle)
+    assert len(checked) == 9
 
 
 # The automata of the builtin specs, pinned as (states, SHA-256 of

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from oracles import naive_step_successors, nx_step_paths, random_valuation
+from oracles import (make_valuation, naive_step_successors, nx_step_paths,
+                     random_valuation)
 from tgmc.cfa import (EPS, Edge, Guard, Inc, Pick, PickAtom, PickCond,
                       SetStatus, SvEq, ThresholdLe, GuardAnd, GuardNot,
                       apply_op, build_cfa, enumerate_paths, eval_guard,
                       op_names, pick_range, step_successors)
-from tgmc.core import LinearForm, ModelError, make_valuation
+from tgmc.core import LinearForm, ModelError
 from tgmc.harness import BUILTIN_NAMES, load_builtin
 
 BYZ_ENV = {"n": 7, "t": 2, "f": 2}

@@ -6,13 +6,17 @@ import os
 import subprocess
 import sys
 from importlib import resources
-from pathlib import Path
 
 import pytest
 
-import tgmc
+from oracles import source_env
 from tgmc.cli import main
 from tgmc.harness import TRACE_MAGIC
+
+
+# Spellings that int() reads but the integer grammar of --params, manifests
+# and traces (``core.parse_int``) does not: ASCII digits after at most a "-".
+NOT_INTEGERS = ("1_000", "+5", " 7", "\u0663")
 
 
 def run_cli(capsys, *argv):
@@ -176,14 +180,16 @@ def test_check_usage_errors(capsys, tmp_path):
     assert code == 2
     assert "error:" in err
 
-    # A state cap below 1 is rejected before any check runs.
-    for bad in ("0", "-1", "many"):
+    # A state cap below 1, or not an integer, is rejected before any check
+    # runs.
+    for bad in ("0", "-1", "many", *NOT_INTEGERS):
         with pytest.raises(SystemExit) as exit_info:
             run_cli(capsys, "check", "--model", "builtin:byz",
                     "--params", "n=7,t=2,f=2", "--spec", "relay",
                     "--max-states", bad)
         assert exit_info.value.code == 2
-        assert "--max-states" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "--max-states" in err
 
 
 NOP_MODEL = """model nop;
@@ -330,14 +336,15 @@ def test_bench_bad_manifest(capsys, tmp_path, monkeypatch):
     assert out == ""
     assert runs == []
 
-    # So do --jobs and --max-states below 1.
+    # So do --jobs and --max-states below 1, or not integers.
     for option in ("--jobs", "--max-states"):
-        for bad in ("0", "-1"):
+        for bad in ("0", "-1", *NOT_INTEGERS):
             with pytest.raises(SystemExit) as exit_info:
                 run_cli(capsys, "bench", "--manifest", str(manifest),
                         option, bad)
             assert exit_info.value.code == 2
-            assert option in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("usage: ") and option in err
     assert runs == []
 
 
@@ -367,14 +374,6 @@ def test_paths_command(capsys):
     code, out, _ = run_cli(capsys, "paths", "--model", "builtin:clean")
     assert code == 0
     assert "4 step paths" in out
-
-
-def source_env() -> dict[str, str]:
-    """The environment of a ``python -m tgmc.cli`` subprocess that imports
-    this checkout's package."""
-    source_root = str(Path(tgmc.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [source_root, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.mark.parametrize("argv,expected", [

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import make_valuation
 from tgmc.cfa import Inc, SetStatus, SvEq
 from tgmc.core import (Comparison, LinearForm, ModelError, ResilienceCondition,
                        Valuation, check_resilience, eval_linear_form,
-                       make_valuation, normalize_coeffs)
+                       normalize_coeffs)
 from tgmc.ltl import (FALSE, TRUE, Future, Globally, Literal, Release,
                       StatusProp, Until)
 

@@ -2,7 +2,6 @@
 imports nothing outside the standard library."""
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tgmc
+from oracles import source_env
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
@@ -20,14 +20,9 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
-    # Like the CLI runs of test_acceptance: the child imports the very package
-    # this process imported.
-    source_root = str(Path(tgmc.__file__).resolve().parent.parent)
-    pythonpath = [source_root, *filter(None, os.environ.get(
-        "PYTHONPATH", "").split(os.pathsep))]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
     run = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                         text=True, env=env, cwd=str(tmp_path), check=False)
+                         text=True, env=source_env(), cwd=str(tmp_path),
+                         check=False)
     assert run.returncode == 0, run.stderr
     assert run.stdout
 

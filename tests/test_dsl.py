@@ -129,7 +129,7 @@ def test_parse_minimal_model():
     assert isinstance(m.cfa.edges[0].op, Pick)
     assert m.cfa.edges[1].op == Guard(ThresholdLe(LinearForm.of(1, t=1), "rcvd"))
     assert m.cfa.edges[3].op == Guard(GuardNot(ThresholdLe(LinearForm.of(1, t=1), "rcvd")))
-    assert m.spec_names() == ("safe", "live")
+    assert [s.name for s in m.specs] == ["safe", "live"]
     assert m.spec("live").unless == "starving"
     assert m.spec("safe").unless is None
     with pytest.raises(ModelError):
@@ -340,7 +340,7 @@ def test_builtin_structure():
     assert omit.size == LinearForm.of(n=1)
     for name in BUILTIN_NAMES:
         model = load_builtin(name)
-        assert model.spec_names() == ("unforg", "corr", "relay")
+        assert [s.name for s in model.specs] == ["unforg", "corr", "relay"]
         assert model.spec("unforg").unless is None
         assert model.spec("corr").unless is not None
         assert model.spec("relay").unless is not None

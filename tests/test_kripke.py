@@ -6,14 +6,14 @@ from collections import Counter
 
 import pytest
 
-from oracles import (eval_atomic_prop, multiset_count, naive_step_successors,
-                     naive_successors, random_model_text,
-                     reference_initial_states)
+from oracles import (eval_atomic_prop, make_valuation, multiset_count,
+                     naive_step_successors, naive_successors,
+                     random_model_text, reference_initial_states)
 from tgmc import kripke
 from tgmc.buchi import build_buchi
 from tgmc.checker import (Product, check_spec, combined_formula, nested_dfs,
                           reference_successors)
-from tgmc.core import LinearForm, ModelError, make_valuation
+from tgmc.core import LinearForm, ModelError
 from tgmc.dsl import format_model, parse_model
 from tgmc.harness import TRACE_MAGIC, load_builtin, parse_trace
 from tgmc.kripke import Instance

@@ -392,6 +392,8 @@ def combined_formula(model: ModelDef, spec_name: str, fairness: bool) -> Formula
 @functools.lru_cache(maxsize=1)
 def _instance(model: ModelDef, env_items: tuple[tuple[str, int], ...],
               symmetry: bool) -> Instance:
+    """The instance of the last check, with the graph every check of it
+    built, until a check of another instance starts."""
     return Instance(model, dict(env_items), symmetry=symmetry)
 
 
@@ -401,8 +403,9 @@ def check_spec(model: ModelDef, env: ParamEnv, spec_name: str,
     """Decide whether every run of Instance(model, env) satisfies the spec
     (with its unfairness escape clause, unless fairness is disabled).
     Consecutive checks of one instance share its state graph and step
-    cache, which stay referenced until a check of another instance starts,
-    or until a check ends on the state cap or on an exception."""
+    cache, which stay referenced until a check of another instance starts:
+    the next check of the instance reuses what a capped or interrupted one
+    built, and counts what a fresh one does."""
     started = time.monotonic()
     target = combined_formula(model, spec_name, fairness)
     negated = negate_to_nnf(target)
@@ -414,13 +417,7 @@ def check_spec(model: ModelDef, env: ParamEnv, spec_name: str,
         result, stored = nested_dfs(product.initial_nodes(), product.successors,
                                     product.is_accepting, max_stored=max_states)
     except ResourceCapExceeded as cap:
-        _instance.cache_clear()     # frees the graph the capped search built
         status, stored = "inconclusive", cap.stored
-    except BaseException:
-        # An interrupted search may leave the graph part-built; the next
-        # check builds it anew.
-        _instance.cache_clear()
-        raise
     else:
         status = "holds"
         if result is not None:

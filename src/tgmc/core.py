@@ -58,10 +58,6 @@ class LinearForm(NamedTuple):
     coeffs: tuple[tuple[str, int], ...] = ()
     const: int = 0
 
-    @staticmethod
-    def of(const: int = 0, **coeffs: int) -> "LinearForm":
-        return LinearForm(normalize_coeffs(coeffs.items()), const)
-
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.coeffs)
 

@@ -107,7 +107,10 @@ class Instance:
         self._status_index = {s: i for i, s in enumerate(model.statuses)}
         self._params_pairs = tuple((p, env[p]) for p in model.params)
         # Interned process entries and shared vectors; under symmetry the
-        # entry ids also in the natural order of their entries.
+        # entry ids also in the natural order of their entries.  Every
+        # table here and in the state graph is written before the dict that
+        # names its ids, so an exception between the writes leaves at most
+        # a slot that no id names, never an id naming the wrong value.
         self._entries: list[ProcEntry] = []
         self._order: list[int] = []
         self._entry_ids: dict[ProcEntry, int] = {}
@@ -132,14 +135,15 @@ class Instance:
         eid = self._entry_ids.get(entry)
         if eid is None:
             eid = len(self._entries)
-            if not self.symmetry and eid > _FIELD_MASK:
+            if self.symmetry:   # by position, so a retry overwrites it
+                self._shifts[eid:] = [_FIELD_BITS + self._width * eid]
+            elif eid > _FIELD_MASK:
                 raise ModelError(f"more than {_FIELD_MASK + 1} process "
                                  "entries in one instance")
-            self._entry_ids[entry] = eid
             self._entries.append(entry)
             if self.symmetry:
-                self._shifts.append(_FIELD_BITS + self._width * eid)
                 bisect.insort(self._order, eid, key=self._entries.__getitem__)
+            self._entry_ids[entry] = eid
         return eid
 
     def _shareds_id(self, shareds: tuple[int, ...]) -> int:
@@ -149,8 +153,8 @@ class Instance:
             if sid > _FIELD_MASK:
                 raise ModelError(f"more than {_FIELD_MASK + 1} shared vectors "
                                  "in one instance")
-            self._shared_ids[shareds] = sid
             self._shared_vecs.append(shareds)
+            self._shared_ids[shareds] = sid
         return sid
 
     def encode(self, state: EngineState) -> int:

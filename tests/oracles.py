@@ -29,7 +29,7 @@ import tgmc
 from tgmc.cfa import (EPS, Cfa, Guard, GuardAnd, GuardNot, Inc, Pick, SetStatus,
                       SvEq, ThresholdLe)
 from tgmc.checker import Product, nested_dfs
-from tgmc.core import LinearForm, ParamEnv, Valuation
+from tgmc.core import LinearForm, ParamEnv, Valuation, normalize_coeffs
 from tgmc.ltl import (And, AtomicProp, Formula, Future, Globally, LessProp,
                       Literal, Or, Release, StatusProp, Until)
 
@@ -43,6 +43,12 @@ def make_valuation(status: str,
                      tuple((locals_ or {}).items()),
                      tuple((shareds or {}).items()),
                      tuple((params or {}).items()))
+
+
+def linear_form(const: int = 0, **coeffs: int) -> LinearForm:
+    """A linear form from keyword coefficients: ``linear_form(1, t=1)`` is
+    ``t + 1``."""
+    return LinearForm(normalize_coeffs(coeffs.items()), const)
 
 
 def source_env() -> dict[str, str]:

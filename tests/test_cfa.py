@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from oracles import (make_valuation, naive_step_successors, nx_step_paths,
-                     random_valuation)
+from oracles import (linear_form, make_valuation, naive_step_successors,
+                     nx_step_paths, random_valuation)
 from tgmc.cfa import (EPS, Edge, Guard, Inc, Pick, PickAtom, PickCond,
                       SetStatus, SvEq, ThresholdLe, GuardAnd, GuardNot,
                       apply_op, build_cfa, enumerate_paths, eval_guard,
                       op_names, pick_range, step_successors)
-from tgmc.core import LinearForm, ModelError
+from tgmc.core import ModelError
 from tgmc.harness import BUILTIN_NAMES, load_builtin
 
 BYZ_ENV = {"n": 7, "t": 2, "f": 2}
@@ -26,9 +26,9 @@ def test_eval_guard_atoms_and_composites():
     v = byz_valuation("V1", 3, 1)
     assert eval_guard(SvEq("V1"), v)
     assert not eval_guard(SvEq("V0"), v)
-    le = ThresholdLe(LinearForm.of(1, t=1), "rcvd")       # t+1 <= rcvd, 3 <= 3
+    le = ThresholdLe(linear_form(1, t=1), "rcvd")       # t+1 <= rcvd, 3 <= 3
     assert eval_guard(le, v)
-    assert not eval_guard(ThresholdLe(LinearForm.of(n=1, t=-1), "rcvd"), v)  # 5 <= 3
+    assert not eval_guard(ThresholdLe(linear_form(n=1, t=-1), "rcvd"), v)  # 5 <= 3
     assert eval_guard(GuardNot(SvEq("V0")), v)
     assert eval_guard(GuardAnd((SvEq("V1"), le)), v)
     assert not eval_guard(GuardAnd((SvEq("V0"), le)), v)
@@ -38,7 +38,7 @@ def test_eval_guard_atoms_and_composites():
 
 def test_pick_range_frozen_example():
     # rcvd <= eps && eps <= nsnt + f, at rcvd=1, nsnt=2, f=1: choices {1,2,3}.
-    cond = PickCond((PickAtom("rcvd", EPS), PickAtom(EPS, "nsnt", LinearForm.of(f=1))))
+    cond = PickCond((PickAtom("rcvd", EPS), PickAtom(EPS, "nsnt", linear_form(f=1))))
     v = byz_valuation("V0", 1, 2, {"n": 4, "t": 1, "f": 1})
     assert pick_range(cond, v) == (1, 3)
 
@@ -50,7 +50,7 @@ def test_pick_range_empty_and_edge_cases():
     # eps <= eps + off: tautological for off >= 0, contradictory below.
     tauto = PickCond((PickAtom(EPS, EPS), PickAtom(EPS, "nsnt")))
     assert pick_range(tauto, byz_valuation("V0", 0, 2)) == (0, 2)
-    contra = PickCond((PickAtom(EPS, EPS, LinearForm.of(-1)),
+    contra = PickCond((PickAtom(EPS, EPS, linear_form(-1)),
                        PickAtom(EPS, "nsnt")))
     lo, hi = pick_range(contra, byz_valuation("V0", 0, 2))
     assert lo > hi
@@ -77,7 +77,7 @@ def test_apply_op_semantics():
     assert apply_op(v, SetStatus("SE")) == [v.with_status("SE")]
     assert apply_op(v, Inc("nsnt")) == [v.with_variable("nsnt", 3)]
     pick = Pick("rcvd", PickCond((PickAtom("rcvd", EPS),
-                                  PickAtom(EPS, "nsnt", LinearForm.of(f=1)))))
+                                  PickAtom(EPS, "nsnt", linear_form(f=1)))))
     out = apply_op(v, pick)
     assert [w.value("rcvd") for w in out] == [1, 2, 3, 4]
 
@@ -100,13 +100,13 @@ def test_validate_rejects_cycles_and_dangles():
 
 def test_op_names_lists_every_name_in_writing_order():
     guard = Guard(GuardAnd((SvEq("V0"), GuardNot(ThresholdLe(
-        LinearForm.of(1, t=1), "rcvd")))))
+        linear_form(1, t=1), "rcvd")))))
     assert op_names(guard) == [("status", "V0"), ("variable", "rcvd"),
                                ("parameter", "t")]
     assert op_names(SetStatus("AC")) == [("status", "AC")]
     assert op_names(Inc("nsnt")) == [("variable", "nsnt")]
     pick = Pick("rcvd", PickCond((PickAtom("rcvd", EPS),
-                                  PickAtom(EPS, "nsnt", LinearForm.of(f=1)))))
+                                  PickAtom(EPS, "nsnt", linear_form(f=1)))))
     assert op_names(pick) == [("variable", "rcvd"), ("variable", "rcvd"),
                               ("variable", "nsnt"), ("parameter", "f")]
 

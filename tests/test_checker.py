@@ -348,22 +348,21 @@ def test_searches_share_the_instance_graph(monkeypatch):
 
     monkeypatch.setattr(Instance, "successors", counting_successors)
     checker._instance.cache_clear()
-    shared, graphs = [], []
+    shared, graphs, cached = [], [], set()
     for spec, cap in runs:
         before = len(expanded)
         shared.append(outcome(check_spec(model, env, spec, max_states=cap)))
         graphs.append({inst for inst, _ in expanded[before:]})
+        cached.add(checker._instance(model, tuple(sorted(env.items())), True))
     # Every state is expanded at most once per instance graph.
     assert len(set(expanded)) == len(expanded)
     assert [status for status, *_ in shared] == [
         "violated", "violated", "inconclusive", "violated"]
     assert all(kripke_states > 0 for _, _, kripke_states, _, _ in shared)
-    # The second corr check and the capped one reuse what the first two
-    # built; the capped check frees the graph, so the next one rebuilds it.
-    first = graphs[0]
-    assert len(first) == 1 and graphs[1] == first
-    assert graphs[2] == set()
-    assert graphs[3] and not graphs[3] & first
+    # Every check runs on the graph the first one built: the capped one
+    # and the one after it expand nothing the second had not.
+    assert len(cached) == 1 and graphs[0] == graphs[1] == cached
+    assert graphs[2] == graphs[3] == set()
 
     # Each check gives what it gives on a fresh instance.
     for (spec, cap), want in zip(runs, shared):
@@ -437,17 +436,19 @@ def test_check_spec_resource_cap():
     # The inconclusive verdict keeps what the search had built.
     assert 0 < verdict.kripke_states <= verdict.product_states
     assert verdict.transitions > 0
-    # ... and frees the graph it built.
-    assert checker._instance.cache_info().currsize == 0
+    # ... and keeps the graph it built for the next check.
+    assert checker._instance.cache_info().currsize == 1
     after = outcome(check_spec(model, env, "corr"))
     checker._instance.cache_clear()
     assert after == outcome(check_spec(model, env, "corr"))
 
 
-def test_an_interrupted_check_leaves_no_graph_behind(monkeypatch):
+def test_an_interrupted_check_leaves_a_graph_the_next_check_reuses(
+        monkeypatch):
     """A check that an exception ends (here a KeyboardInterrupt on the
-    500th interned state) drops the cached instance, so the next check of
-    the same instance counts what a fresh one does."""
+    500th interned state) keeps the cached instance, and the next check of
+    the same instance, on the graph the stopped one left, counts what a
+    fresh one does."""
     model = load_builtin("byz")
     env = {"n": 5, "t": 1, "f": 1}
     checker._instance.cache_clear()
@@ -464,9 +465,68 @@ def test_an_interrupted_check_leaves_no_graph_behind(monkeypatch):
     monkeypatch.setattr(Instance, "state_id", failing_state_id)
     with pytest.raises(KeyboardInterrupt):
         check_spec(model, env, "relay")
-    assert checker._instance.cache_info().currsize == 0
+    assert checker._instance.cache_info().currsize == 1
+    stopped = checker._instance(model, tuple(sorted(env.items())), True)
+    assert stopped.states
     monkeypatch.setattr(Instance, "state_id", state_id)
     assert outcome(check_spec(model, env, "relay")) == fresh
+    assert checker._instance(model, tuple(sorted(env.items())), True) is stopped
+
+
+SMALL_INSTANCES = [("byz", "n=4,t=1,f=1"), ("byz", "n=4,t=2,f=2"),
+                   ("clean", "n=3,t=1"), ("clean", "n=3,t=3"),
+                   ("omit", "n=3,t=1,f=1"), ("omit", "n=3,t=2,f=2"),
+                   ("symm", "n=4,t=1,fp=0,fs=1")]
+
+
+@pytest.mark.parametrize("symmetry", [True, False], ids=["symmetric", "raw"])
+def test_a_stopped_check_changes_no_later_result(monkeypatch, symmetry):
+    """On each small instance, one check stops first, in turn interrupted
+    at a random ``state_id`` call or capped at a random ``max_states``;
+    then every spec, with fairness on and off, in shuffled order, on the
+    graph it left, gives the status, counts and counterexample of a fresh
+    instance."""
+    rng = random.Random(f"stopped-{symmetry}")
+    state_id, calls = Instance.state_id, [0, None]    # calls, interrupt at
+
+    def counting_state_id(self, state):
+        calls[0] += 1
+        if calls[0] == calls[1]:
+            raise KeyboardInterrupt
+        return state_id(self, state)
+
+    monkeypatch.setattr(Instance, "state_id", counting_state_id)
+    for i, (name, params) in enumerate(SMALL_INSTANCES):
+        model = load_builtin(name)
+        env = parse_params_binding(params, model)
+        runs = [(spec.name, fairness) for spec in model.specs
+                for fairness in (True, False)]
+        fresh, fresh_calls = {}, {}
+        for spec, fairness in runs:
+            checker._instance.cache_clear()
+            before = calls[0]
+            fresh[spec, fairness] = outcome(check_spec(
+                model, env, spec, fairness=fairness, symmetry=symmetry))
+            fresh_calls[spec, fairness] = calls[0] - before
+        checker._instance.cache_clear()
+        spec, fairness = rng.choice([run for run in runs
+                                     if fresh[run][1] > 1])
+        if i % 2:
+            cap = rng.randrange(1, fresh[spec, fairness][1])
+            capped = check_spec(model, env, spec, fairness=fairness,
+                                symmetry=symmetry, max_states=cap)
+            assert capped.status == "inconclusive"
+        else:
+            calls[1] = calls[0] + rng.randint(1, fresh_calls[spec, fairness])
+            with pytest.raises(KeyboardInterrupt):
+                check_spec(model, env, spec, fairness=fairness,
+                           symmetry=symmetry)
+        rng.shuffle(runs)
+        for spec, fairness in runs:
+            assert outcome(check_spec(model, env, spec, fairness=fairness,
+                                      symmetry=symmetry)) \
+                == fresh[spec, fairness], (name, params, spec, fairness)
+    checker._instance.cache_clear()
 
 
 def test_a_product_of_more_letters_than_a_byte_holds():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import make_valuation
+from oracles import linear_form, make_valuation
 from tgmc.cfa import Inc, SetStatus, SvEq
 from tgmc.core import (Comparison, LinearForm, ModelError, ResilienceCondition,
                        Valuation, check_resilience, eval_linear_form,
@@ -15,7 +15,7 @@ from tgmc.ltl import (FALSE, TRUE, Future, Globally, Literal, Release,
 small_ints = st.integers(min_value=-9, max_value=9)
 envs = st.fixed_dictionaries({"n": st.integers(0, 20), "t": st.integers(0, 20),
                               "f": st.integers(0, 20)})
-forms = st.builds(lambda c, cn, ct, cf: LinearForm.of(c, n=cn, t=ct, f=cf),
+forms = st.builds(lambda c, cn, ct, cf: linear_form(c, n=cn, t=ct, f=cf),
                   small_ints, small_ints, small_ints, small_ints)
 
 
@@ -24,22 +24,22 @@ def test_normalize_drops_zeros_and_sorts():
 
 
 def test_of_and_eval():
-    form = LinearForm.of(1, n=1, t=-3)
+    form = linear_form(1, n=1, t=-3)
     assert eval_linear_form(form, {"n": 7, "t": 2}) == 7 - 6 + 1
 
 
 def test_eval_unbound_parameter():
     with pytest.raises(ModelError):
-        eval_linear_form(LinearForm.of(n=1), {"t": 1})
+        eval_linear_form(linear_form(n=1), {"t": 1})
 
 
 def test_render_examples():
-    assert LinearForm.of(1, n=1, t=-3).render() == "n - 3*t + 1"
-    assert LinearForm.of(0).render() == "0"
-    assert LinearForm.of(-2).render() == "-2"
-    assert LinearForm.of(t=-1).render() == "-t"
-    assert LinearForm.of(-1, n=1).render() == "n - 1"
-    assert LinearForm.of(f=1, t=1).render() == "f + t"
+    assert linear_form(1, n=1, t=-3).render() == "n - 3*t + 1"
+    assert linear_form(0).render() == "0"
+    assert linear_form(-2).render() == "-2"
+    assert linear_form(t=-1).render() == "-t"
+    assert linear_form(-1, n=1).render() == "n - 1"
+    assert linear_form(f=1, t=1).render() == "f + t"
 
 
 @settings(max_examples=40, deadline=None)
@@ -56,15 +56,15 @@ def test_render_parses_stable_structure(form, env):
     (">=", False), (">", False),
 ])
 def test_comparison_ops(op, expected):
-    comp = Comparison(LinearForm.of(t=1), op, LinearForm.of(n=1))
+    comp = Comparison(linear_form(t=1), op, linear_form(n=1))
     assert comp.holds({"t": 1, "n": 2}) is expected
 
 
 def test_resilience_condition():
     rc = ResilienceCondition((
-        Comparison(LinearForm.of(n=1), ">", LinearForm.of(t=3)),
-        Comparison(LinearForm.of(f=1), "<=", LinearForm.of(t=1)),
-        Comparison(LinearForm.of(t=1), ">", LinearForm.of(0)),
+        Comparison(linear_form(n=1), ">", linear_form(t=3)),
+        Comparison(linear_form(f=1), "<=", linear_form(t=1)),
+        Comparison(linear_form(t=1), ">", linear_form(0)),
     ))
     assert check_resilience(rc, {"n": 7, "t": 2, "f": 2})
     assert not check_resilience(rc, {"n": 7, "t": 3, "f": 2})   # 7 > 9 fails
@@ -119,7 +119,7 @@ def test_records_of_different_classes_are_unequal(a, b):
 
 
 @pytest.mark.parametrize("record", [
-    TRUE, Future(P), Until(P, Q), SvEq("V0"), LinearForm.of(1, n=2),
+    TRUE, Future(P), Until(P, Q), SvEq("V0"), linear_form(1, n=2),
     make_valuation("V0", {"rcvd": 1}),
 ])
 def test_record_value_semantics(record):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import linear_form
 from tgmc.cfa import Guard, GuardAnd, GuardNot, Pick, SvEq, ThresholdLe
 from tgmc.core import LinearForm, ModelError
 from tgmc.dsl import (MAX_NESTING, ModelSyntaxError, format_model,
@@ -119,7 +120,7 @@ def test_parse_minimal_model():
     m = parse_model(MINIMAL)
     assert m.name == "tiny"
     assert m.params == ("n", "t")
-    assert m.size == LinearForm.of(n=1)
+    assert m.size == linear_form(n=1)
     assert m.statuses == ("V0", "V1", "AC")
     assert m.initial_statuses == ("V0", "V1")
     assert m.locals == ("rcvd",)
@@ -127,8 +128,8 @@ def test_parse_minimal_model():
     assert len(m.cfa.edges) == 4
     assert m.cfa.initial == "qI" and m.cfa.final == "qF"
     assert isinstance(m.cfa.edges[0].op, Pick)
-    assert m.cfa.edges[1].op == Guard(ThresholdLe(LinearForm.of(1, t=1), "rcvd"))
-    assert m.cfa.edges[3].op == Guard(GuardNot(ThresholdLe(LinearForm.of(1, t=1), "rcvd")))
+    assert m.cfa.edges[1].op == Guard(ThresholdLe(linear_form(1, t=1), "rcvd"))
+    assert m.cfa.edges[3].op == Guard(GuardNot(ThresholdLe(linear_form(1, t=1), "rcvd")))
     assert [s.name for s in m.specs] == ["safe", "live"]
     assert m.spec("live").unless == "starving"
     assert m.spec("safe").unless is None
@@ -226,17 +227,17 @@ def test_offset_spec_atom_shapes():
     m = parse_model(text)
     unfair = m.unfairness_formula("starving")
     inner = unfair.arg.arg
-    assert inner == Literal(LessProp("rcvd", LinearForm.of(t=-1), "nsnt"))
+    assert inner == Literal(LessProp("rcvd", linear_form(t=-1), "nsnt"))
 
     text = MINIMAL.replace("F G some(rcvd < nsnt)",
                            "F G some(rcvd - t + 2*n - 1 < nsnt)") \
                   .replace("eps <= nsnt;", "eps <= nsnt - 2*t + 1;")
     m = parse_model(text)
     assert m.unfairness_formula("starving").arg.arg.ap.offset == \
-        LinearForm.of(-1, n=2, t=-1)
+        linear_form(-1, n=2, t=-1)
     pick = m.cfa.edges[0].op
     assert [a.offset for a in pick.cond.atoms] == \
-        [LinearForm(), LinearForm.of(1, t=-2)]
+        [LinearForm(), linear_form(1, t=-2)]
 
     for old, new, where in (("F G some(rcvd < nsnt)", "F G some(rcvd - < nsnt)",
                              "16:34:"),
@@ -254,7 +255,7 @@ def test_builtins_round_trip_through_formatter(name):
 
 
 USER_APS = (StatusProp("all", "V1", True), StatusProp("some", "AC", False),
-            LessProp("rcvd", LinearForm.of(t=1), "nsnt"))
+            LessProp("rcvd", linear_form(t=1), "nsnt"))
 
 
 def random_user_formula(rng: random.Random, depth: int):
@@ -315,7 +316,7 @@ def test_guards_round_trip_through_formatter():
     found = "(sv == V1 && t + 1 <= rcvd) && sv == V1"
     model = parse_model(MINIMAL.replace(NEGATED_GUARD, found))
     assert model.cfa.edges[3].op == Guard(GuardAnd(
-        (SvEq("V1"), ThresholdLe(LinearForm.of(1, t=1), "rcvd"), SvEq("V1"))))
+        (SvEq("V1"), ThresholdLe(linear_form(1, t=1), "rcvd"), SvEq("V1"))))
     for text in [found] + [random_guard_text(rng, 4) for _ in range(500)]:
         model = parse_model(MINIMAL.replace(NEGATED_GUARD, text))
         assert not nested_conjunctions(model.cfa.edges[3].op.expr), text
@@ -327,17 +328,17 @@ def test_builtin_structure():
     assert byz.params == ("n", "t", "f")
     assert byz.statuses == ("V0", "V1", "SE", "AC")
     assert byz.initial_statuses == ("V0", "V1")
-    assert byz.size == LinearForm.of(n=1, f=-1)
+    assert byz.size == linear_form(n=1, f=-1)
     assert len(byz.cfa.edges) == 14
     clean = load_builtin("clean")
     assert clean.params == ("n", "t")
-    assert clean.size == LinearForm.of(n=1)
+    assert clean.size == linear_form(n=1)
     assert len(clean.cfa.edges) == 11
     symm = load_builtin("symm")
     assert symm.params == ("n", "t", "fp", "fs")
-    assert symm.size == LinearForm.of(n=1, fp=-1)
+    assert symm.size == linear_form(n=1, fp=-1)
     omit = load_builtin("omit")
-    assert omit.size == LinearForm.of(n=1)
+    assert omit.size == linear_form(n=1)
     for name in BUILTIN_NAMES:
         model = load_builtin(name)
         assert [s.name for s in model.specs] == ["unforg", "corr", "relay"]

@@ -1,13 +1,16 @@
 """System instances: initial states, interleaving, symmetry, labeling."""
 
+import inspect
+import itertools
 import random
+import sys
 from array import array
 from collections import Counter
 
 import pytest
 
-from oracles import (eval_atomic_prop, make_valuation, multiset_count,
-                     naive_step_successors, naive_successors,
+from oracles import (eval_atomic_prop, linear_form, make_valuation,
+                     multiset_count, naive_step_successors, naive_successors,
                      random_model_text, reference_initial_states)
 from tgmc import kripke
 from tgmc.buchi import build_buchi
@@ -125,7 +128,7 @@ def test_canonicalize_is_idempotent_and_label_preserving():
     props = [StatusProp("all", "V0", True), StatusProp("some", "AC", True),
              StatusProp("all", "V1", False),
              LessProp("rcvd", LinearForm(), "nsnt"),
-             LessProp("rcvd", LinearForm.of(f=1), "nsnt")]
+             LessProp("rcvd", linear_form(f=1), "nsnt")]
     letter = inst.compile_ap(props)
     rng = random.Random("canon")
     for _ in range(300):
@@ -174,7 +177,7 @@ def test_eval_atomic_prop_quantifiers():
     # rcvd < nsnt holds for the first process (0 < 2), not the second.
     assert holds(LessProp("rcvd", LinearForm(), "nsnt"), state) is True
     # rcvd + f < nsnt: 0+1 < 2 holds.
-    assert holds(LessProp("rcvd", LinearForm.of(f=1), "nsnt"), state) is True
+    assert holds(LessProp("rcvd", linear_form(f=1), "nsnt"), state) is True
     # shared-to-shared comparison is per-process but constant: nsnt < nsnt fails.
     assert holds(LessProp("nsnt", LinearForm(), "nsnt"), state) is False
 
@@ -185,7 +188,7 @@ def test_compiled_ap_matches_direct_evaluation():
     props = [StatusProp("all", "V0", True), StatusProp("some", "SE", True),
              StatusProp("some", "V1", False), StatusProp("all", "V1", False),
              LessProp("rcvd", LinearForm(), "nsnt"),
-             LessProp("rcvd", LinearForm.of(f=1), "nsnt")]
+             LessProp("rcvd", linear_form(f=1), "nsnt")]
     for symmetry in (True, False):
         inst = byz_instance(symmetry=symmetry)
         letter = inst.compile_ap(props)
@@ -483,3 +486,72 @@ def test_an_interrupted_intern_names_no_state_twice():
     assert all(inst.states[inst.state_id(state)] == state
                for state in (first, second, third, fourth))
     assert len(inst._succ_at) >= len(inst.states)
+
+
+def new_id_lines(method):
+    """The code of ``method`` and the lines of its new-id branch: those
+    after its ``if ... is None:`` and before its ``return``."""
+    source, first = inspect.getsourcelines(method)
+    texts = [line.strip() for line in source]
+    start = next(i for i, text in enumerate(texts) if text.endswith("is None:"))
+    end = next(i for i, text in enumerate(texts) if text.startswith("return"))
+    return method.__code__, range(first + start + 1, first + end)
+
+
+def interrupted(walk, code, lines, at):
+    """Run ``walk`` with a KeyboardInterrupt raised at the ``at``-th line
+    boundary that any frame of ``code`` reaches within ``lines``.  Whether
+    it was raised: false once ``walk`` passes fewer boundaries."""
+    passed = 0
+
+    def trace_line(frame, event, arg):
+        nonlocal passed
+        if event == "line" and frame.f_lineno in lines:
+            passed += 1
+            if passed == at:
+                raise KeyboardInterrupt
+        return trace_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 trace_line if frame.f_code is code else None)
+    try:
+        walk()
+    except KeyboardInterrupt:
+        return True
+    finally:
+        sys.settrace(previous)
+    return False
+
+
+@pytest.mark.parametrize("symmetry", [True, False], ids=["symmetric", "raw"])
+def test_an_interrupt_anywhere_in_interning_leaves_a_valid_graph(symmetry):
+    """A KeyboardInterrupt at each line boundary of the new-id branches of
+    ``_entry_id``, ``_shareds_id`` and ``state_id``, then the whole walk
+    again on the same instance: it names the states a fresh instance
+    names, each id the state it indexes, and every named state's
+    successors are the reference's.  ``len(states)`` is not compared: a
+    stopped ``state_id`` may leave a slot that no id names."""
+    model, env = load_builtin("byz"), {"n": 3, "t": 1, "f": 1}
+    fresh = Instance(model, env, symmetry=symmetry)
+    expand_all(fresh)
+    moves = {}
+    views = [fresh.decode(state) for state in fresh._state_ids]
+    want = {view: reference_successors(fresh, view, moves) for view in views}
+    interned = {"_entry_id": fresh._entries, "_shareds_id": fresh._shared_vecs,
+                "state_id": fresh.states}
+    for name, tables in interned.items():
+        code, lines = new_id_lines(getattr(Instance, name))
+        for at in itertools.count(1):
+            inst = Instance(model, env, symmetry=symmetry)
+            if not interrupted(lambda: expand_all(inst), code, lines, at):
+                break
+            expand_all(inst)
+            got = {}
+            for state, gid in inst._state_ids.items():
+                assert inst.states[gid] == state, (name, at)
+                got[inst.decode(state)] = decoded(
+                    inst, [inst.states[succ] for succ in inst.successor_ids(gid)])
+            assert got == want, (name, at)
+        # Every new id passes at least one boundary of its branch.
+        assert at > len(tables), name

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import brute_eval, random_nnf_formula
+from oracles import brute_eval, linear_form, random_nnf_formula
 from tgmc.core import LinearForm, ModelError
 from tgmc.ltl import (FALSE, TRUE, And, Future, Globally, LessProp, Literal, Or,
                       Release, StatusProp, Until, eval_formula_on_lasso,
@@ -27,8 +27,8 @@ def test_atomic_prop_rendering():
     assert StatusProp("all", "V1", False).render() == "all(sv != V1)"
     assert StatusProp("some", "AC", True).render() == "some(sv == AC)"
     assert LessProp("rcvd", LinearForm(), "nsnt").render() == "some(rcvd < nsnt)"
-    assert LessProp("rcvd", LinearForm.of(fs=-1), "nsnt").render() == "some(rcvd - fs < nsnt)"
-    assert LessProp("rcvd", LinearForm.of(f=1), "nsnt").render() == "some(rcvd + f < nsnt)"
+    assert LessProp("rcvd", linear_form(fs=-1), "nsnt").render() == "some(rcvd - fs < nsnt)"
+    assert LessProp("rcvd", linear_form(f=1), "nsnt").render() == "some(rcvd + f < nsnt)"
 
 
 def test_formula_rendering_and_precedence():

@@ -32,7 +32,7 @@ from .buchi import BuchiAutomaton, build_buchi
 from .cfa import step_successors
 from .core import ModelError, ParamEnv, value
 from .dsl import ModelDef
-from .kripke import EngineState, Instance, widen
+from .kripke import EngineState, Instance
 from .ltl import (AtomicProp, Formula, ap_holds, disjoin, eval_formula_on_lasso,
                   formula_aps, negate_to_nnf)
 
@@ -194,10 +194,8 @@ class Product:
 
     A state's *letter* is the bitmask of the propositions true in it (bit i
     for ``ba.aps[i]``).  Each distinct letter gets a small letter id when it
-    first appears, and ``_letter[gid]``, an ``array`` by gid, holds the
-    letter id of state gid, or -1 until the state is labelled: one byte per
-    state while there are at most 128 letters, then ``kripke.widen`` copies
-    it to a wider typecode.  The row
+    first appears, and ``_letter[gid]``, an ``array("i")`` by gid, holds the
+    letter id of state gid, or -1 until the state is labelled.  The row
     ``_moves[q][lid]`` lists q's automaton successors whose label letter
     ``lid`` meets, in ``ba.succ[q]`` order, and the last row, ``_moves[-1]``,
     does the same for ``ba.initial``; every row is filled when the letter
@@ -222,7 +220,7 @@ class Product:
         self.nq = max(ba.n_states(), 1)
         self._letter_of = inst.compile_ap(ba.aps)
         self._accept_flags = [q in ba.accepting for q in range(ba.n_states())]
-        self._letter = array("b")               # gid -> letter id, or -1
+        self._letter = array("i")               # gid -> letter id, or -1
         self._letter_ids: dict[int, int] = {}    # letter -> id, in id order
         # One row per automaton state, then the row of the initial states;
         # states with equal successor tuples share one row object.
@@ -242,7 +240,6 @@ class Product:
             lid = self._letter_ids[letter] = len(self._letter_ids)
             for states, row in self._rows:
                 row.append(self.ba.entered(states, letter))
-            self._letter = widen(self._letter, lid)
         self._letter[gid] = lid
         return lid
 
@@ -263,19 +260,17 @@ class Product:
 
     def _expand(self, gids, row: list[list[int]]) -> list[int]:
         """The nodes (gid2, q2) for each gid2 in ``gids`` and each q2 that
-        ``row`` lists for gid2's letter, labelling states on first sight.
-        Labelling can widen ``_letter``, so it is read again after."""
+        ``row`` lists for gid2's letter, labelling states on first sight."""
         letter = self._letter
         missing = len(self.inst.states) - len(letter)
         if missing:     # a slot for every state the instance has interned
-            letter.extend(array(letter.typecode, [-1]) * missing)
+            letter.extend(array("i", [-1]) * missing)
         nq = self.nq
         out = []
         for gid2 in gids:
             lid = letter[gid2]
             if lid < 0:
                 lid = self._label(gid2)
-                letter = self._letter
             base = gid2 * nq
             for q2 in row[lid]:
                 out.append(base + q2)

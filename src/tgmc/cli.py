@@ -68,11 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Explicit-state checker for threshold-guarded "
                     "fault-tolerant broadcast models.")
     sub = parser.add_subparsers(dest="command", required=True)
+    model_help = ("model file path or builtin:NAME "
+                  f"(builtins: {', '.join(BUILTIN_NAMES)})")
 
     check = sub.add_parser("check", help="check one spec of one model instance")
-    check.add_argument("--model", required=True,
-                       help="model file path or builtin:NAME "
-                            f"(builtins: {', '.join(BUILTIN_NAMES)})")
+    check.add_argument("--model", required=True, help=model_help)
     check.add_argument("--params", help='parameter binding, e.g. "n=7,t=2,f=2" '
                                         "(omit for a model without parameters)")
     check.add_argument("--spec", help="spec name declared in the model")
@@ -85,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--verify-trace", metavar="FILE",
                        help="instead of checking, replay a previously "
                             "written trace file against the model")
-    check.add_argument("--format", choices=("text", "json"), default="text")
+    check.add_argument("--format", choices=("text", "json"), default="text",
+                       help="output format (default %(default)s)")
     check.add_argument("--max-states", type=_at_least_one,
                        default=DEFAULT_MAX_PRODUCT_STATES,
                        help="product-state cap before giving up as "
@@ -99,11 +100,14 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", metavar="CSV",
                        help="write per-case results here (default: stdout)")
     bench.add_argument("--max-states", type=_at_least_one,
-                       default=DEFAULT_MAX_PRODUCT_STATES)
-    bench.add_argument("--no-symmetry", action="store_true")
+                       default=DEFAULT_MAX_PRODUCT_STATES,
+                       help="product-state cap per case before giving up "
+                            "as inconclusive (default %(default)s)")
+    bench.add_argument("--no-symmetry", action="store_true",
+                       help="disable symmetry reduction in every case")
 
     paths = sub.add_parser("paths", help="list a model's step paths")
-    paths.add_argument("--model", required=True)
+    paths.add_argument("--model", required=True, help=model_help)
     return parser
 
 

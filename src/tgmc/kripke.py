@@ -15,27 +15,27 @@ The low 32 bits hold the shareds id.  Under symmetry digit i is the number of
 processes whose entry has id i, in as many bits as the process count needs,
 so no count can carry into its neighbour.  Raw, digit i is the entry id of
 process i, in 32 bits.  An instance that would need a 33-bit entry id or
-shareds id raises ModelError rather than wrap.  A process's move from one
-entry and shared vector to another is one integer delta, cached per
-``(entry id, shareds id)``, and each successor is ``state + delta`` (raw:
-the entry part shifted to the mover's position).  ``decode`` gives the
-tuple view ``(procs, shareds)`` that counterexamples, traces and replay
-read, under symmetry with the processes sorted; ``encode`` is its
-inverse.
+shareds id raises ModelError rather than wrap.  A state id (below) past
+2**31 - 1 would need more than 2**31 states, some 400 GB at about 200 bytes
+each, so the 4-byte successor ids get no wider step: there ``array`` raises
+OverflowError rather than wrap.  A process's move from one entry and
+shared vector to another is one integer delta, cached per ``(entry id,
+shareds id)``, and each successor is ``state + delta`` (raw: the entry part
+shifted to the mover's position).  ``decode`` gives the tuple view
+``(procs, shareds)`` that counterexamples, traces and replay read, under
+symmetry with the processes sorted; ``encode`` is its inverse.
 
 The state graph is built on demand and shared by every search over the
 instance.  States are interned to dense ids (gids).  The successor ids of
 every expanded state lie back to back in one flat ``array``, each run
 prefixed by its length; since states are expanded in search order, not gid
-order, an offset per gid finds each state's run.  Each array starts at the
-narrowest typecode its values need and is replaced by a wider copy
-(``widen``) when a value outgrows it: the ids are ``'H'`` (2 bytes) until
-an expansion could intern the 65,536th state, then ``'i'`` (4 bytes), and
-the offsets ``'i'``, then ``'q'``.  So a state costs its packed int, its
-slot in the id dict and in ``states``, 4 bytes of offset, a length prefix
-once it is expanded, and one id per successor, prefix and ids 2 bytes each
-up to about 65,535 states and 4 past them: the paper's n=10 and n=11
-instances (``byz`` at n=10,t=3,f=3 has 85,234 states) keep 4-byte ids.
+order, an offset per gid (``'q'``, 8 bytes) finds each state's run.  One
+width rule: only the successor ids widen, once.  They are ``'H'`` (2 bytes)
+until an expansion could intern the 65,536th state, then ``'i'`` (4 bytes),
+so the paper's n=10 and n=11 instances (``byz`` at n=10,t=3,f=3 has 85,234
+states) keep 4-byte ids.  A state costs its packed int, its slots in the id
+dict and in ``states``, 8 bytes of offset, and once expanded a length prefix
+and one id per successor.
 
 Parameters are factored out of states: every state of an instance shares the
 instance's binding, so transitions preserve parameters by construction.
@@ -65,21 +65,6 @@ EngineState = tuple[tuple[ProcEntry, ...], tuple[int, ...]]
 
 _FIELD_BITS = 32
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
-
-# The typecode a store widens to from each narrower one, and the largest
-# value of every typecode on the way.
-_WIDER = {"b": "h", "h": "i", "H": "i", "i": "q"}
-_TOP = {code: (1 << 8 * array(code).itemsize - code.islower()) - 1
-        for code in "bhHiq"}
-
-
-def widen(store: array, top: int) -> array:
-    """``store`` if it holds ``top``, else a copy of it at the narrowest
-    wider typecode that does.  Every value of a typecode fits the next."""
-    while top > _TOP[store.typecode]:
-        store = array(_WIDER[store.typecode], store)
-    return store
-
 
 class Instance:
     """One concrete system: a model plus a complete parameter binding."""
@@ -123,11 +108,11 @@ class Instance:
         # this instance: states interned to dense ids (gids), and the
         # successor ids of every expanded state as one run of ``_succ``: at
         # offset ``_succ_at[gid]`` (-1 until expanded) the run's length, then
-        # the ids.  Both arrays widen (``widen``) as their values grow.
+        # the ids, 2 bytes each until ``successor_ids`` widens them to 4.
         self.states: list[int] = []
         self._state_ids: dict[int, int] = {}
         self._succ = array("H")
-        self._succ_at = array("i")
+        self._succ_at = array("q")
 
     # -- packing --------------------------------------------------------------
 
@@ -296,18 +281,20 @@ class Instance:
     def successor_ids(self, gid: int) -> Sequence[int]:
         """Ids of the successors of state ``gid``, in ``successors`` order,
         as a slice of the flat store; ``successors`` runs at most once per
-        state.  A run is recorded once complete: the store is first widened
-        to hold every id the run can intern, and the offset written last,
-        so an exception while interning leaves an unread partial run."""
+        state.  A run is recorded once complete: the store is first switched
+        to 4-byte ids if the run could intern the 65,536th state, and the
+        offset written last, so an exception while interning leaves an
+        unread partial run."""
         at = self._succ_at[gid]
         if at < 0:
             successors = self.successors(self.states[gid])
-            self._succ = succ = widen(self._succ,
-                                      len(self.states) + len(successors))
+            succ = self._succ
+            if (succ.typecode == "H"
+                    and len(self.states) + len(successors) > 0xFFFF):
+                self._succ = succ = array("i", succ)
             at = len(succ)
             succ.append(len(successors))
             succ.extend(map(self.state_id, successors))
-            self._succ_at = widen(self._succ_at, at)
             self._succ_at[gid] = at
         succ = self._succ
         return succ[at + 1:at + 1 + succ[at]]

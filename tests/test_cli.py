@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
+import argparse
 import csv
 import json
 import os
@@ -10,7 +11,7 @@ from importlib import resources
 import pytest
 
 from oracles import source_env
-from tgmc.cli import main
+from tgmc.cli import _build_parser, main
 from tgmc.harness import TRACE_MAGIC
 
 
@@ -292,6 +293,17 @@ def test_bench_stdout_and_exit(capsys, tmp_path):
     assert lines[0].startswith("model,params,spec,expected,tier,verdict,match")
     assert len(lines) == 3
     assert "2 match" in err
+    reduced = list(csv.DictReader(lines))
+
+    # Without symmetry both rows keep their verdicts, and the byz row
+    # stores more product states: one per process vector, not per multiset.
+    code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest),
+                             "--no-symmetry")
+    assert code == 0 and "2 match" in err
+    raw = list(csv.DictReader(out.splitlines()))
+    assert [row["verdict"] for row in raw] == ["holds", "violated"] \
+        == [row["verdict"] for row in reduced]
+    assert [reduced[0]["states_stored"], raw[0]["states_stored"]] == ["5", "9"]
 
     out_file = tmp_path / "results.csv"
     code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest),
@@ -363,6 +375,17 @@ def test_bench_refuses_to_overwrite_its_manifest(capsys, tmp_path):
         assert (code, stdout) == (2, "")
         assert err == f"error: --out {str(out)!r} is the manifest file\n"
         assert manifest.read_text() == text
+
+
+def test_every_option_has_help():
+    """``tgmc SUBCOMMAND --help`` describes every option it lists."""
+    parser = _build_parser()
+    sub, = (action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction))
+    for name, subparser in sub.choices.items():
+        for action in subparser._actions:
+            assert action.help and action.help != argparse.SUPPRESS, \
+                (name, action.option_strings)
 
 
 def test_paths_command(capsys):

@@ -392,18 +392,22 @@ def test_flat_successor_store_matches_successors(monkeypatch, symmetry):
 
 def expand_all(inst):
     """Expand every reachable state of ``inst`` by ``successor_ids``;
-    returns the expanded gids in order and the store's typecode after each."""
+    returns the expanded gids in order and, per expansion, the store's
+    typecode after it and the largest id its run could have interned."""
     todo = [inst.state_id(state) for state in inst.initial_states()]
-    seen, order, codes = set(todo), [], []
+    seen, order, codes, tops = set(todo), [], [], []
     while todo:
         gid = todo.pop()
-        for succ in inst.successor_ids(gid):
+        before = len(inst.states)
+        ids = inst.successor_ids(gid)
+        for succ in ids:
             if succ not in seen:
                 seen.add(succ)
                 todo.append(succ)
         order.append(gid)
         codes.append(inst._succ.typecode)
-    return order, codes
+        tops.append(before + len(ids) - 1)
+    return order, codes, tops
 
 
 def assert_runs_match_successors(inst, gids):
@@ -412,37 +416,32 @@ def assert_runs_match_successors(inst, gids):
             inst.state_id(s) for s in inst.successors(inst.states[gid])], gid
 
 
-@pytest.mark.parametrize("code, wider", [("b", "h"), ("h", "i"), ("H", "i"),
-                                         ("i", "q")])
-def test_widen_steps_up_one_rung(code, wider):
-    top = kripke._TOP[code]
-    values = [0, top] + ([-1] if code.islower() else [])
-    store = array(code, values)
-    assert kripke.widen(store, top) is store
-    wide = kripke.widen(store, top + 1)
-    assert wide.typecode == wider and list(wide) == values
-    wide.append(top + 1)                # it holds the value it widened for
-    assert store.typecode == code       # the original is left as it was
-
-
-def test_widen_climbs_as_many_rungs_as_the_value_needs():
-    assert kripke.widen(array("b", [-1]), 0x8000).typecode == "i"
-    assert kripke.widen(array("b", [-1]), 1 << 40) == array("q", [-1])
-    assert kripke.widen(array("H"), 1 << 31).typecode == "q"
-    assert kripke.widen(array("q"), kripke._TOP["q"]).typecode == "q"
-
-
 def test_successor_store_widens_past_65535_states():
     """An instance of 85,234 states: its ids start as 2-byte ``'H'`` and
-    end as ``'i'``, and every run, also those stored before the switch,
-    reads back as its successors' ids."""
+    switch to ``'i'`` at the first expansion whose run could intern the
+    65,536th state (id 0xFFFF), and every run, also those stored before the
+    switch, reads back as its successors' ids.  The offsets are ``'q'``
+    from the start."""
     inst = Instance(load_builtin("symm"), {"n": 7, "t": 3, "fp": 0, "fs": 3})
-    assert inst._succ.typecode == "H" and inst._succ_at.typecode == "i"
-    order, codes = expand_all(inst)
+    assert inst._succ.typecode == "H" and inst._succ_at.typecode == "q"
+    order, codes, tops = expand_all(inst)
     assert len(inst.states) == 85_234
     switch = codes.index("i")
+    assert switch == next(i for i, top in enumerate(tops) if top >= 0xFFFF)
     assert 0 < switch and set(codes[switch:]) == {"i"}
     assert_runs_match_successors(inst, order)
+
+
+def test_a_successor_id_past_31_bits_raises_instead_of_wrapping(monkeypatch):
+    """The 4-byte ids take no wider step: an id of 2**31 raises
+    OverflowError, and the state is left unexpanded."""
+    inst = byz_instance()
+    gid = inst.state_id(inst.initial_states()[0])
+    inst._succ = array("i")
+    monkeypatch.setattr(Instance, "state_id", lambda self, state: 1 << 31)
+    with pytest.raises(OverflowError):
+        inst.successor_ids(gid)
+    assert inst._succ_at[gid] == -1
 
 
 def test_an_interrupted_expansion_records_no_run(monkeypatch):
@@ -461,7 +460,7 @@ def test_an_interrupted_expansion_records_no_run(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         expand_all(inst)
     monkeypatch.setattr(Instance, "state_id", state_id)
-    order, _ = expand_all(inst)
+    order, *_ = expand_all(inst)
     assert_runs_match_successors(inst, order)
 
 

@@ -183,14 +183,16 @@ class Edge(NamedTuple):
 class Cfa(NamedTuple):
     """Acyclic edge-labeled graph with a unique entry and exit location, as
     ``build_cfa`` makes it.  ``layers`` lists every location in topological
-    order (entry first, exit last) with its out-edges in declaration order.
+    order with its out-edges in declaration order, so the entry
+    (``initial``) is its first location and the exit (``final``) its last.
     It is derived from ``edges``, so two automata with equal edges have
     equal layers, and equality and hashing read it to no effect."""
 
-    initial: str
-    final: str
     edges: tuple[Edge, ...]
     layers: tuple[tuple[str, tuple[Edge, ...]], ...]
+
+    initial = property(lambda self: self.layers[0][0])
+    final = property(lambda self: self.layers[-1][0])
 
 
 def op_names(op: Op | GuardExpr) -> list[tuple[str, str]]:
@@ -225,8 +227,7 @@ def build_cfa(edges: Sequence[Edge]) -> tuple[Cfa | None, list[str]]:
     the locations; a location it cannot place lies on or after a cycle.  In
     an acyclic graph with one entry and one exit, every location is on an
     entry-to-exit path, so no reachability check is needed.  Each edge must
-    be declared once.  The names the edges use are the parser's to check.
-    """
+    be declared once."""
     out: dict[str, list[Edge]] = {}
     indegree: dict[str, int] = {}
     for e in edges:
@@ -260,7 +261,7 @@ def build_cfa(edges: Sequence[Edge]) -> tuple[Cfa | None, list[str]]:
     if problems:
         return None, problems
     layers = tuple((loc, tuple(out[loc])) for loc in order)
-    return Cfa(entries[0], exits[0], tuple(edges), layers), []
+    return Cfa(tuple(edges), layers), []
 
 
 def enumerate_paths(cfa: Cfa) -> list[tuple[Op, ...]]:

@@ -3,14 +3,8 @@ counterexample lassos.
 
 The search is the classic two-color nested depth-first search, implemented
 iteratively (explicit stacks) so deep state spaces cannot overflow Python's
-recursion limit.  The product it searches labels each state of the instance
-once, with its *letter* from ``Instance.compile_ap``: the bitmask of the
-propositions true in it.  Each distinct letter gets a small id, and one row
-per automaton state lists, per letter id, the automaton successors that the
-letter lets in; so an edge of the product is read, not tested.  Automaton
-states with equal successor tuples share one row, and an expansion that
-repeats the one just before it (the same state, under the same row, as a
-self-loop gives in the raw interleaving) returns the list it built then.
+recursion limit.  The product it searches (``Product``) labels each state of
+the instance once, and reads its edges from per-letter rows, not tests them.
 
 Every reported lasso is replay-validated before the verdict is returned:
 each transition is re-checked against ``reference_successors`` (the one
@@ -31,7 +25,7 @@ from typing import NamedTuple
 from .buchi import BuchiAutomaton, build_buchi
 from .cfa import step_successors
 from .core import ModelError, ParamEnv, value
-from .dsl import ModelDef
+from .dsl import ModelDef, check_binding
 from .kripke import EngineState, Instance
 from .ltl import (AtomicProp, Formula, ap_holds, disjoin, eval_formula_on_lasso,
                   formula_aps, negate_to_nnf)
@@ -205,13 +199,18 @@ class Product:
 
     Automaton states with equal successor tuples share one row object
     (tableau nodes with equal ``next`` obligations have equal successors),
-    so a new letter fills each distinct row once.  ``successors`` keeps
-    the gid, the row and the list of its last expansion, and when the next
-    call has the same gid and the same row it returns that list again,
-    counting its edges again in ``transitions``.  The reuse is exact: a
-    row only grows, by entries for new letter ids, and a gid's successor
-    run and letter id are fixed once stored.  The searches only iterate
-    the lists they get, so two stack frames may share one.
+    so a new letter fills each distinct row once: under fairness the
+    ``relay`` automaton of ``byz`` has 10 states but 2 distinct successor
+    tuples, and that of ``omit`` 22 but 3.  In the raw interleaving a
+    self-loop makes the search expand a state and then, at once, the same
+    state under another automaton state, often of the same row.  So
+    ``successors`` keeps the gid, the row and the list of its last
+    expansion, and when the next call has the same gid and the same row it
+    returns that list again, counting its edges again in ``transitions``.
+    The reuse is exact: a row only grows, by entries for new letter ids,
+    and a gid's successor run and letter id are fixed once stored.  The
+    searches only iterate the lists they get, so two stack frames may
+    share one.
     """
 
     def __init__(self, inst: Instance, ba: BuchiAutomaton):
@@ -405,7 +404,9 @@ def check_spec(model: ModelDef, env: ParamEnv, spec_name: str,
     target = combined_formula(model, spec_name, fairness)
     negated = negate_to_nnf(target)
     ba = build_buchi(negated)
-    inst = _instance(model, tuple(sorted(env.items())), symmetry)
+    # Checked before the lookup: 4.0 and True equal ints and would hit.
+    env_items = tuple(sorted(check_binding(model, env).items()))
+    inst = _instance(model, env_items, symmetry)
     product = Product(inst, ba)
     lasso = None
     try:

@@ -70,16 +70,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     model_help = ("model file path or builtin:NAME "
                   f"(builtins: {', '.join(BUILTIN_NAMES)})")
+    # The options of every check, shared by `check` and `bench`.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--max-states", type=_at_least_one,
+                        default=DEFAULT_MAX_PRODUCT_STATES,
+                        help="product-state cap per check before giving up "
+                             "as inconclusive (default %(default)s)")
+    common.add_argument("--no-symmetry", action="store_true",
+                        help="disable symmetry reduction")
 
-    check = sub.add_parser("check", help="check one spec of one model instance")
+    check = sub.add_parser("check", parents=[common],
+                           help="check one spec of one model instance")
     check.add_argument("--model", required=True, help=model_help)
     check.add_argument("--params", help='parameter binding, e.g. "n=7,t=2,f=2" '
                                         "(omit for a model without parameters)")
     check.add_argument("--spec", help="spec name declared in the model")
     check.add_argument("--no-fairness", action="store_true",
                        help="ignore the spec's `unless` clause")
-    check.add_argument("--no-symmetry", action="store_true",
-                       help="disable symmetry reduction")
     check.add_argument("--trace", metavar="FILE",
                        help="write the counterexample trace here if violated")
     check.add_argument("--verify-trace", metavar="FILE",
@@ -87,24 +94,15 @@ def _build_parser() -> argparse.ArgumentParser:
                             "written trace file against the model")
     check.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default %(default)s)")
-    check.add_argument("--max-states", type=_at_least_one,
-                       default=DEFAULT_MAX_PRODUCT_STATES,
-                       help="product-state cap before giving up as "
-                            "inconclusive (default %(default)s)")
 
-    bench = sub.add_parser("bench", help="run a manifest of expected verdicts")
+    bench = sub.add_parser("bench", parents=[common],
+                           help="run a manifest of expected verdicts")
     bench.add_argument("--manifest", required=True,
                        help="CSV with columns model,params,spec,expected,tier")
     bench.add_argument("--jobs", type=_at_least_one, default=1,
                        help="worker processes (default 1)")
     bench.add_argument("--out", metavar="CSV",
                        help="write per-case results here (default: stdout)")
-    bench.add_argument("--max-states", type=_at_least_one,
-                       default=DEFAULT_MAX_PRODUCT_STATES,
-                       help="product-state cap per case before giving up "
-                            "as inconclusive (default %(default)s)")
-    bench.add_argument("--no-symmetry", action="store_true",
-                       help="disable symmetry reduction in every case")
 
     paths = sub.add_parser("paths", help="list a model's step paths")
     paths.add_argument("--model", required=True, help=model_help)
@@ -146,8 +144,7 @@ def _cmd_check(args) -> int:
         print(f"note: parameters violate the resilience condition "
               f"({model.resilience.render()}); checking anyway",
               file=sys.stderr)
-    fairness = not args.no_fairness
-    symmetry = not args.no_symmetry
+    fairness, symmetry = not args.no_fairness, not args.no_symmetry
     verdict = check_spec(model, env, args.spec, fairness=fairness,
                          symmetry=symmetry, max_states=args.max_states)
 

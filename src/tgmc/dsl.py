@@ -32,7 +32,8 @@ are reserved.  ``model``, ``size``, ``resilience`` and ``step`` appear once.
 The parser checks every name where it is written (see ``parse_model``);
 ``cfa.build_cfa`` checks only the step block's graph.  Parentheses and
 prefix operators nest at most ``MAX_NESTING`` deep, and a formula's tree is
-at most as high, so no recursive pass meets a deeper tree.
+at most as high, so no recursive pass meets a deeper tree; flat chains
+(``->``, ``&&``, ``||``) are not bounded.
 
 ``tokenize`` reads the text with one token table, ``_TOKEN``: a regular
 expression whose alternatives are a newline, blanks and comments, ASCII
@@ -40,7 +41,8 @@ integers, names, the symbols (longest first) and any other character, which
 is a diagnostic.  A token's line and column come from its offset, so the end
 of file is after the last character, a comment's included.  One reader,
 ``_Parser.separated``, reads all seven ``item (sep item)*`` lists: the names
-of ``param``, ``status``, ``local``, ``shared`` and ``init``, resilience
+of ``param``, ``status``, ``local``, ``shared`` and ``init`` (each read and
+declared in turn, so the names before an error stay declared), resilience
 conjuncts, guard conjunctions, pick conditions, and a formula's ``||``,
 ``&&`` and ``U`` chains.
 
@@ -63,7 +65,8 @@ from .cfa import (EPS, Cfa, Edge, Guard, GuardAnd, GuardExpr, GuardNot, Inc, Op,
 from .core import (COMPARISON_OPS, Comparison, LinearForm, ModelError, ParamEnv,
                    ResilienceCondition, normalize_coeffs, parse_int, value)
 from .ltl import (And, Formula, Future, Globally, LessProp, Literal, Or,
-                  StatusProp, Until, children, disjoin, formula_aps, render_formula)
+                  StatusProp, Until, ap_names, children, disjoin, formula_aps,
+                  render_formula)
 
 # Declaring keyword -> the role of the names it declares.
 _DECLARATIONS = {"param": "parameter", "status": "status",
@@ -129,6 +132,15 @@ class ModelDef(NamedTuple):
             if key == name:
                 return formula
         raise ModelError(f"model {self.name!r} has no unfairness formula {name!r}")
+
+    def check_names(self, pairs) -> None:
+        """Raise ModelError at the first ``(role, name)`` pair, as
+        ``ltl.ap_names`` lists them, that the model does not declare."""
+        declared = {"parameter": self.params, "status": self.statuses,
+                    "variable": self.locals + self.shareds}
+        for role, name in pairs:
+            if name not in declared[role]:
+                raise ModelError(f"unknown {role} {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +468,8 @@ def parse_model(text: str) -> ModelDef:
 
     Every name is checked where it is written: a declared name against the
     reserved words and the names declared before it, a used name, once all
-    statements are read, against the table of declared names and roles.
+    statements are read, against the table of declared names and roles, and
+    reported at its statement or edge.
     Raises ModelSyntaxError carrying every diagnostic found (syntax and
     semantic); diagnostics have 1-based line/column positions.
     """
@@ -511,12 +524,7 @@ def parse_model(text: str) -> ModelDef:
                     for role, n in pairs)
 
     def use_formula(tok: Token, formula: Formula) -> None:
-        for ap in formula_aps(formula):
-            if isinstance(ap, StatusProp):
-                use(tok, [("status", ap.status)])
-            else:
-                use(tok, [("variable", ap.x), ("variable", ap.y)]
-                    + [("parameter", p) for p in ap.offset.names()])
+        use(tok, [pair for ap in formula_aps(formula) for pair in ap_names(ap)])
 
     def use_params(tok: Token, *forms: LinearForm) -> None:
         use(tok, [("parameter", p) for form in forms for p in form.names()])
@@ -609,20 +617,16 @@ def parse_model(text: str) -> ModelDef:
         except _Recover:
             parser.skip_statement()
 
-    if name is None:
-        diagnostics.append(Diagnostic(1, 1, "missing 'model NAME;' statement"))
-        name = "unnamed"
-    if size is None:
-        diagnostics.append(Diagnostic(1, 1, "missing 'size <linear form>;' statement"))
-        size = LinearForm()
-    if not declared["status"]:
-        diagnostics.append(Diagnostic(1, 1, "missing 'status ...;' statement"))
-    if not initial_statuses:
-        diagnostics.append(Diagnostic(1, 1, "missing 'init ...;' statement"))
+    for missing, statement in [(name is None, "'model NAME;' statement"),
+                               (size is None, "'size <linear form>;' statement"),
+                               (not declared["status"], "'status ...;' statement"),
+                               (not initial_statuses, "'init ...;' statement"),
+                               (not edges and not broken_edge,
+                                "or empty 'step { ... }' block")]:
+        if missing:
+            diagnostics.append(Diagnostic(1, 1, f"missing {statement}"))
     cfa: Cfa | None = None
-    if not edges and not broken_edge:
-        diagnostics.append(Diagnostic(1, 1, "missing or empty 'step { ... }' block"))
-    elif not broken_edge:
+    if edges and not broken_edge:
         cfa, problems = build_cfa(edges)
         for problem in problems:
             report(step_tok, problem)
@@ -642,31 +646,39 @@ def parse_model(text: str) -> ModelDef:
                     unfairness=tuple(unfairness), specs=tuple(specs))
 
 
-def parse_params_binding(text: str, model: ModelDef) -> ParamEnv:
-    """Parse a binding like ``"n=7,t=2,f=2"`` against the model's parameters."""
-    env: ParamEnv = {}
-    if text.strip():
-        for part in text.split(","):
-            if "=" not in part:
-                raise ModelError(f"malformed parameter binding {part.strip()!r} "
-                                 "(expected name=value)")
-            key, _, value = part.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in env:
-                raise ModelError(f"duplicate parameter {key!r}")
-            if key not in model.params:
-                raise ModelError(f"unknown parameter {key!r} "
-                                 f"(model has: {', '.join(model.params)})")
-            number = parse_int(value, f"non-numeric value {value!r} "
-                                      f"for parameter {key!r}")
-            if number < 0:
-                raise ModelError(f"parameter {key!r} must be a natural, got {number}")
-            env[key] = number
+def check_binding(model: ModelDef, env: ParamEnv) -> ParamEnv:
+    """``env``, if it binds every parameter of ``model``, and no other name,
+    to a natural: an ``int``, not a ``bool``, at least 0; else ModelError.
+    ``parse_params_binding``, ``Instance`` and ``check_spec`` all apply it."""
+    for key, number in env.items():
+        if key not in model.params:
+            raise ModelError(f"unknown parameter {key!r} "
+                             f"(model has: {', '.join(model.params)})")
+        if isinstance(number, bool) or not isinstance(number, int):
+            raise ModelError(f"parameter {key!r} must be an integer, got {number!r}")
+        if number < 0:
+            raise ModelError(f"parameter {key!r} must be a natural, got {number}")
     missing = [p for p in model.params if p not in env]
     if missing:
         raise ModelError(f"missing parameter(s): {', '.join(missing)}")
     return env
+
+
+def parse_params_binding(text: str, model: ModelDef) -> ParamEnv:
+    """Parse a binding like ``"n=7,t=2,f=2"`` and check it against the
+    model's parameters with ``check_binding``."""
+    env: ParamEnv = {}
+    for part in text.split(",") if text.strip() else ():
+        if "=" not in part:
+            raise ModelError(f"malformed parameter binding {part.strip()!r} "
+                             "(expected name=value)")
+        key, _, value = part.partition("=")
+        key, value = key.strip(), value.strip()
+        if key in env:
+            raise ModelError(f"duplicate parameter {key!r}")
+        env[key] = parse_int(value, f"non-numeric value {value!r} "
+                                    f"for parameter {key!r}")
+    return check_binding(model, env)
 
 
 def format_model(model: ModelDef) -> str:
@@ -678,23 +690,18 @@ def format_model(model: ModelDef) -> str:
         lines.append(f"param {', '.join(model.params)};")
     if model.resilience.conjuncts:
         lines.append(f"resilience {model.resilience.render()};")
-    lines.append(f"size {model.size.render()};")
-    lines.append("")
-    lines.append(f"status {', '.join(model.statuses)};")
-    lines.append(f"init {', '.join(model.initial_statuses)};")
+    lines += [f"size {model.size.render()};", "",
+              f"status {', '.join(model.statuses)};",
+              f"init {', '.join(model.initial_statuses)};"]
     if model.locals:
         lines.append(f"local {', '.join(model.locals)};")
     if model.shareds:
         lines.append(f"shared {', '.join(model.shareds)};")
-    lines.append("")
-    lines.append("step {")
-    for e in model.cfa.edges:
-        lines.append(f"  from {e.src} to {e.dst}: {e.op.render()};")
-    lines.append("}")
+    lines += ["", "step {"] + [f"  from {e.src} to {e.dst}: {e.op.render()};"
+                               for e in model.cfa.edges] + ["}"]
     if model.unfairness:
-        lines.append("")
-        for unfair_name, formula in model.unfairness:
-            lines.append(f"unfair {unfair_name}: {render_formula(formula)};")
+        lines += [""] + [f"unfair {unfair_name}: {render_formula(formula)};"
+                         for unfair_name, formula in model.unfairness]
     if model.specs:
         lines.append("")
         for spec in model.specs:

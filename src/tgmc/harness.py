@@ -34,11 +34,13 @@ TIER_VALUES = ("required", "extended", "skip", "unmodeled")
 MANIFEST_COLUMNS = ("model", "params", "spec", "expected", "tier")
 RESULT_COLUMNS = MANIFEST_COLUMNS + ("verdict", "match", "states_stored",
                                      "transitions", "elapsed_ms")
+_MATCH_TEXT = {None: "", True: "yes", False: "no"}
 
 
 @functools.cache
 def load_builtin(name: str) -> ModelDef:
-    """The four models shipped with the package, parsed once and cached."""
+    """The four models shipped with the package, parsed once and cached;
+    read beside this module, so ``import tgmc`` needs no importlib.resources."""
     if name not in BUILTIN_NAMES:
         raise ModelError(f"unknown builtin model {name!r} "
                          f"(available: {', '.join(BUILTIN_NAMES)})")
@@ -59,10 +61,9 @@ def read_text(path: str, kind: str) -> str:
 
 def resolve_model(ref: str) -> ModelDef:
     """A model reference is ``builtin:NAME``, a bare builtin name, or a path."""
-    if ref.startswith("builtin:"):
-        return load_builtin(ref[len("builtin:"):])
-    if ref in BUILTIN_NAMES:
-        return load_builtin(ref)
+    name = ref.removeprefix("builtin:")
+    if name != ref or ref in BUILTIN_NAMES:
+        return load_builtin(name)
     return parse_model(read_text(ref, "model"))
 
 
@@ -177,14 +178,8 @@ def write_records_csv(records: list[RunRecord], fh) -> None:
     for r in records:
         writer.writerow([r.case.model, r.case.params, r.case.spec,
                          r.case.expected, r.case.tier, r.verdict,
-                         _match_text(r.match), r.states_stored,
+                         _MATCH_TEXT[r.match], r.states_stored,
                          r.transitions, r.elapsed_ms])
-
-
-def _match_text(match: bool | None) -> str:
-    if match is None:
-        return ""
-    return "yes" if match else "no"
 
 
 def summarize(records: list[RunRecord]) -> str:

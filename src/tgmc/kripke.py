@@ -56,8 +56,8 @@ from collections.abc import Callable, Sequence
 
 from .cfa import step_successors
 from .core import ModelError, ParamEnv, Valuation, eval_linear_form
-from .dsl import ModelDef
-from .ltl import AtomicProp, LessProp, StatusProp, ap_holds
+from .dsl import ModelDef, check_binding
+from .ltl import AtomicProp, StatusProp, ap_holds, ap_names
 
 # The decoded view of a state (documentation only).
 ProcEntry = tuple[int, tuple[int, ...]]
@@ -67,17 +67,13 @@ _FIELD_BITS = 32
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 class Instance:
-    """One concrete system: a model plus a complete parameter binding."""
+    """One concrete system: a model plus a binding that
+    ``dsl.check_binding`` accepts.  It keeps no copy of the model's
+    statuses, variables or automaton: it reads them from ``model``."""
 
     def __init__(self, model: ModelDef, env: ParamEnv, symmetry: bool = True):
-        missing = [p for p in model.params if p not in env]
-        if missing:
-            raise ModelError(f"missing parameter(s): {', '.join(missing)}")
-        extra = [p for p in env if p not in model.params]
-        if extra:
-            raise ModelError(f"unknown parameter(s): {', '.join(extra)}")
         self.model = model
-        self.env = dict(env)
+        self.env = dict(check_binding(model, env))
         self.symmetry = symmetry
         self.count = eval_linear_form(model.size, env)
         if self.count < 0:
@@ -104,11 +100,8 @@ class Instance:
         # (entry id, shareds id) -> the moves of a process there, as deltas:
         # under symmetry one int each, raw (entry id delta, shareds id delta).
         self._step_cache: dict[tuple[int, int], tuple] = {}
-        # The state graph, built on demand and shared by every search over
-        # this instance: states interned to dense ids (gids), and the
-        # successor ids of every expanded state as one run of ``_succ``: at
-        # offset ``_succ_at[gid]`` (-1 until expanded) the run's length, then
-        # the ids, 2 bytes each until ``successor_ids`` widens them to 4.
+        # The state graph (see the module docstring): a gid's run of
+        # ``_succ`` starts at ``_succ_at[gid]``, -1 until it is expanded.
         self.states: list[int] = []
         self._state_ids: dict[int, int] = {}
         self._succ = array("H")
@@ -308,12 +301,7 @@ class Instance:
         when the process makes a ``some`` ``aps[i]`` true or an ``all`` one
         false.  A letter ORs its entries' witness bits and flips the ``all``
         bits, so over no processes ∀ is true and ∃ false."""
-        for ap in aps:
-            if isinstance(ap, StatusProp) and ap.status not in self._status_index:
-                raise ModelError(f"unknown status {ap.status!r}")
-            for name in (ap.x, ap.y) if isinstance(ap, LessProp) else ():
-                if name not in self.model.locals and name not in self.model.shareds:
-                    raise ModelError(f"unknown variable {name!r}")
+        self.model.check_names(pair for ap in aps for pair in ap_names(ap))
         flip = sum(1 << i for i, ap in enumerate(aps)
                    if isinstance(ap, StatusProp) and ap.quant == "all")
         witnesses: dict[tuple[int, int], int] = {}

@@ -46,6 +46,15 @@ class LessProp(NamedTuple):
 AtomicProp = StatusProp | LessProp
 
 
+def ap_names(ap: AtomicProp) -> list[tuple[str, str]]:
+    """The ``(role, name)`` pairs a proposition names, as ``cfa.op_names``
+    lists an operation's: its status, or ``x``, ``y``, then offset parameters."""
+    if isinstance(ap, StatusProp):
+        return [("status", ap.status)]
+    return ([("variable", ap.x), ("variable", ap.y)]
+            + [("parameter", p) for p in ap.offset.names()])
+
+
 def ap_holds(ap: AtomicProp, views: list[Valuation], env: ParamEnv) -> bool:
     """The truth of ``ap`` in a state given as its processes' valuations,
     each variable read by its declared name, as the reference step relation

@@ -115,6 +115,10 @@ def test_op_names_lists_every_name_in_writing_order():
 def test_builtin_cfas_validate_cleanly(name):
     model = load_builtin(name)
     assert build_cfa(model.cfa.edges) == (model.cfa, [])
+    # The entry and exit are read from the layers, not stored beside them.
+    assert model.cfa._fields == ("edges", "layers")
+    assert model.cfa.initial == model.cfa.layers[0][0] == "qI"
+    assert model.cfa.final == model.cfa.layers[-1][0] == "qF"
 
 
 @pytest.mark.parametrize("name,expected", [

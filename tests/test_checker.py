@@ -427,6 +427,16 @@ def test_check_spec_verdicts_and_replay():
     assert verdict.transitions > 0
 
 
+def test_check_spec_checks_the_binding_before_its_instance_cache():
+    """4.0 and True equal 4 and 1, so a cached instance must not let them in."""
+    model = load_builtin("byz")
+    assert check_spec(model, {"n": 4, "t": 1, "f": 0}, "unforg").status == "holds"
+    for bad in ({"n": 4.0, "t": True, "f": 0}, {"n": 4, "t": -1, "f": 0},
+                {"n": 4, "t": 1, "f": -1}, {"n": "4", "t": 1, "f": 0}):
+        with pytest.raises(ModelError):
+            check_spec(model, bad, "unforg")
+
+
 def test_check_spec_resource_cap():
     model = load_builtin("byz")
     env = {"n": 7, "t": 2, "f": 2}

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from oracles import linear_form
 from tgmc.cfa import Guard, GuardAnd, GuardNot, Pick, SvEq, ThresholdLe
 from tgmc.core import LinearForm, ModelError
-from tgmc.dsl import (MAX_NESTING, ModelSyntaxError, format_model,
-                      parse_model, parse_params_binding, tokenize)
+from tgmc.dsl import (MAX_NESTING, ModelSyntaxError, check_binding,
+                      format_model, parse_model, parse_params_binding, tokenize)
 from tgmc.harness import BUILTIN_NAMES, load_builtin
 from tgmc.ltl import (And, Future, Globally, LessProp, Literal, Or, StatusProp,
                       Until, render_formula)
@@ -356,6 +356,26 @@ def test_parse_params_binding():
                 "n=7,n=7,t=2,f=2", "7", "", "n=--7,t=2,f=2", "n=²,t=2,f=2"):
         with pytest.raises(ModelError):
             parse_params_binding(bad, model)
+
+
+def test_check_binding_is_the_one_binding_rule():
+    model = load_builtin("byz")
+    env = {"n": 7, "t": 2, "f": 2}
+    assert check_binding(model, env) is env
+    for bad, message in [
+            ({}, "missing parameter(s): n, t, f"),
+            ({**env, "x": 1}, "unknown parameter 'x' (model has: n, t, f)"),
+            ({**env, "f": -1}, "parameter 'f' must be a natural, got -1"),
+            ({**env, "t": True}, "parameter 't' must be an integer, got True"),
+            ({**env, "n": "7"}, "parameter 'n' must be an integer, got '7'"),
+            ({**env, "n": 7.0}, "parameter 'n' must be an integer, got 7.0")]:
+        with pytest.raises(ModelError) as err:
+            check_binding(model, bad)
+        assert str(err.value) == message
+    # The text reader applies the same rule and keeps only the text rules.
+    with pytest.raises(ModelError) as err:
+        parse_params_binding("n=7,t=2,f=-1", model)
+    assert str(err.value) == "parameter 'f' must be a natural, got -1"
 
 
 LAST_EDGE = "  from q1 to qF : when !(t + 1 <= rcvd);\n"

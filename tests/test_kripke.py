@@ -46,6 +46,10 @@ def test_parameter_binding_is_validated():
         Instance(model, {"n": 7, "t": 2, "f": 2, "x": 1})
     with pytest.raises(ModelError):
         Instance(model, {"n": 1, "t": 0, "f": 2})   # size n-f = -1
+    # Every value is an int, not a bool, and at least 0.
+    for bad in ({"t": -1}, {"f": -1}, {"t": True}, {"n": "4"}, {"n": 4.0}):
+        with pytest.raises(ModelError):
+            Instance(model, {"n": 4, "t": 1, "f": 0, **bad})
 
 
 def test_initial_state_counts():
@@ -211,6 +215,8 @@ def test_unknown_names_raise():
         inst.compile_ap([LessProp("zz", LinearForm(), "nsnt")])
     with pytest.raises(ModelError, match="unknown variable 'n'"):
         inst.compile_ap([LessProp("rcvd", LinearForm(), "n")])
+    with pytest.raises(ModelError, match="unknown parameter 'k'"):
+        inst.compile_ap([LessProp("rcvd", LinearForm((("k", 1),), -1), "nsnt")])
     # Named states enter the engine only through trace parsing.
     with pytest.raises(ModelError, match="unknown status 'ZZ'"):
         parse_trace(f"{TRACE_MAGIC}\nmodel: byz\nparams: n=1, t=0, f=0\n"

@@ -7,8 +7,9 @@ import pytest
 from oracles import brute_eval, linear_form, random_nnf_formula
 from tgmc.core import LinearForm, ModelError
 from tgmc.ltl import (FALSE, TRUE, And, Future, Globally, LessProp, Literal, Or,
-                      Release, StatusProp, Until, eval_formula_on_lasso,
-                      formula_aps, negate_to_nnf, render_formula)
+                      Release, StatusProp, Until, ap_names,
+                      eval_formula_on_lasso, formula_aps, negate_to_nnf,
+                      render_formula)
 
 P = StatusProp("some", "AC", True)
 Q = StatusProp("all", "V1", True)
@@ -65,6 +66,13 @@ def test_double_negation_is_identity():
 def test_formula_aps_first_occurrence_order():
     f = And((Or((q, p)), Until(r, q)))
     assert formula_aps(f) == (Q, P, R_AP)
+
+
+def test_ap_names_lists_the_status_or_variables_then_parameters():
+    assert ap_names(StatusProp("all", "AC", eq=False)) == [("status", "AC")]
+    assert ap_names(LessProp("rcvd", linear_form(-1, t=1, f=2), "nsnt")) == [
+        ("variable", "rcvd"), ("variable", "nsnt"),
+        ("parameter", "f"), ("parameter", "t")]
 
 
 def test_eval_requires_nonempty_cycle():

@@ -66,13 +66,14 @@ class Verdict(NamedTuple):
     once the search ends, whichever way: ``product_states`` distinct product
     nodes stored, ``kripke_states`` distinct system states this search
     labelled (also those an earlier check of the same instance built), and
-    ``transitions`` product edges generated over all expansions, the red
-    search's re-expansions of already stored nodes included (so an edge can
-    be counted more than once).  The product labels every successor of a
-    node it expands, also a state that no automaton move enters, so
-    ``kripke_states`` can exceed ``product_states``: ``byz`` at
-    n=7,t=2,f=3, spec ``relay``, stores 40 product states and labels 52
-    system states."""
+    ``transitions`` the edges of every expansion, the red search's
+    re-expansions of already stored nodes included (so an edge can be
+    counted more than once), also the edges into blocks of finished nodes,
+    which the blue search counts without building (see ``Product``).  The
+    product labels every successor of a node it expands, also a state that
+    no automaton move enters, so ``kripke_states`` can exceed
+    ``product_states``: ``byz`` at n=7,t=2,f=3, spec ``relay``, stores 40
+    product states and labels 52 system states."""
 
     status: str                      # "holds" | "violated" | "inconclusive"
     formula: Formula                 # the checked formula (spec, or spec ∨ unfairness)
@@ -91,22 +92,34 @@ _CYAN, _BLUE, _RED = 1, 2, 3      # 0: not stored
 
 
 def nested_dfs(initial_nodes, successors, is_accepting,
-               max_stored: int | None = None):
+               max_stored: int | None = None, colors: bytearray | None = None,
+               red_successors=None):
     """Find an accepting lasso, or certify there is none.
 
     Nodes are non-negative ints: a node's colour is the byte at its index
-    in a ``bytearray``, which doubles when a node falls past its end, so
-    node ids should be dense.  Returns (result, stored) where stored is the
-    number of distinct nodes colored, and result is either None (no
-    accepting cycle reachable) or (prefix_nodes, cycle_nodes) with the last
-    cycle node having an edge back to the first cycle node.  Deterministic
-    for deterministic inputs.  Raises ResourceCapExceeded when more than
-    ``max_stored`` nodes would be stored.  A node is cyan while on the blue
-    stack, then blue, or red once a red search has passed it.  Every node,
-    initial or not, is stored at one site, as a child of a stack frame.
+    in ``colors`` (a fresh ``bytearray`` when None), which doubles when a
+    node falls past its end, so node ids should be dense.  Returns (result,
+    stored) where stored is the number of distinct nodes colored, and
+    result is either None (no accepting cycle reachable) or (prefix_nodes,
+    cycle_nodes) with the last cycle node having an edge back to the first
+    cycle node.  Deterministic for deterministic inputs.  Raises
+    ResourceCapExceeded when more than ``max_stored`` nodes would be
+    stored.  A node is cyan while on the blue stack, then blue, or red once
+    a red search has passed it.  Every node, initial or not, is stored at
+    one site, as a child of a stack frame.
+
+    The blue search expands a node by ``successors``, the red search by
+    ``red_successors`` (``successors`` when None).  Colours only advance,
+    so ``successors`` may leave out a child that is blue or red in
+    ``colors`` when it is called: the blue search would pass it over.  The
+    red search recolours blue children, so ``red_successors`` must list
+    every child.  The search counts no edges; ``Product.successors``
+    counts the edges of every expansion in ``Product.transitions``, also
+    those to the children it leaves out.
     """
     cap = float("inf") if max_stored is None else max_stored
-    colors = bytearray(1024)
+    if colors is None:
+        colors = bytearray(1024)
     stored = 0
     # The root frame's children are the initial nodes.  Its node, None, is
     # never tested by is_accepting: while the root is the only frame no node
@@ -136,7 +149,7 @@ def nested_dfs(initial_nodes, successors, is_accepting,
             if not stack:
                 return None, stored
             if is_accepting(node):
-                found = _red_search(node, successors, colors)
+                found = _red_search(node, red_successors or successors, colors)
                 if found is not None:
                     red_path, target = found
                     chain = [frame[0] for frame in stack[1:]] + [node]
@@ -150,7 +163,7 @@ def nested_dfs(initial_nodes, successors, is_accepting,
 
 def _fit(colors: bytearray, node: int) -> None:
     """Double ``colors`` until ``node`` indexes it; the new slots are 0."""
-    size = len(colors)
+    size = max(len(colors), 1)
     while size <= node:
         size *= 2
     colors.extend(bytes(size - len(colors)))
@@ -201,16 +214,34 @@ class Product:
     (tableau nodes with equal ``next`` obligations have equal successors),
     so a new letter fills each distinct row once: under fairness the
     ``relay`` automaton of ``byz`` has 10 states but 2 distinct successor
-    tuples, and that of ``omit`` 22 but 3.  In the raw interleaving a
-    self-loop makes the search expand a state and then, at once, the same
-    state under another automaton state, often of the same row.  So
-    ``successors`` keeps the gid, the row and the list of its last
-    expansion, and when the next call has the same gid and the same row it
-    returns that list again, counting its edges again in ``transitions``.
-    The reuse is exact: a row only grows, by entries for new letter ids,
-    and a gid's successor run and letter id are fixed once stored.  The
-    searches only iterate the lists they get, so two stack frames may
-    share one.
+    tuples, and that of ``omit`` 22 but 3.
+
+    ``colors`` is the colour array of the search (see ``nested_dfs``),
+    sized as the instance interns states; ``check_spec`` searches with it.
+    An expansion of a node (gid, q) is one *block* per successor gid2: the
+    nodes (gid2, q2) for each q2 that q's row lists for gid2's letter.
+    ``successors``, the blue search's expansion, emits only the nodes of a
+    block that are not yet blue or red, and the first time it emits none of
+    a block it records the block's size in ``_finished[id(row)][gid2]``
+    (-1 until then).  From then on it adds that size to ``transitions``
+    without building the block: colours only advance, so a node that is
+    finished when a list is built is one the search passes over whenever it
+    reaches it, and the search, its counts and its lasso are those of the
+    full lists.  The table of a row is made on its first blue expansion.
+    ``all_successors``, the red search's expansion, lists every node, and
+    so does ``initial_nodes``.  Searched with colours of its own,
+    ``successors`` finds no node finished and lists every node too.
+
+    In the raw interleaving a self-loop makes the search expand a state and
+    then, at once, the same state under another automaton state, often of
+    the same row.  So ``successors`` keeps the gid, the row, the list and
+    the edge count of its last expansion, and when the next call has the
+    same gid and the same row it returns that list again, counting its
+    edges again in ``transitions``.  The reuse is exact: a row only grows,
+    by entries for new letter ids, a gid's successor run and letter id are
+    fixed once stored, and a node the list holds that has finished since
+    it was built is one the search passes over.  The searches only iterate
+    the lists they get, so two stack frames may share one.
     """
 
     def __init__(self, inst: Instance, ba: BuchiAutomaton):
@@ -227,8 +258,12 @@ class Product:
         self._moves = [rows.setdefault(states, [])
                        for states in (*ba.succ, ba.initial)]
         self._rows = list(rows.items())          # (successor tuple, row)
-        # The gid, the row and the output list of the last expansion.
-        self._last: tuple = (-1, None, [])
+        self.colors = bytearray()                # node -> colour
+        # id(row) -> gid -> size of its finished block, or -1.
+        self._finished: dict[int, array] = {}
+        # The gid, the row, the output list and the edge count of the last
+        # blue expansion.
+        self._last: tuple = (-1, None, [], 0)
         self.transitions = 0
 
     def _label(self, gid: int) -> int:
@@ -242,6 +277,17 @@ class Product:
         self._letter[gid] = lid
         return lid
 
+    def _size_tables(self) -> None:
+        """Give every table by gid a slot for each state the instance has
+        interned: the letter ids, the colours and the finished blocks."""
+        missing = len(self.inst.states) - len(self._letter)
+        if missing:
+            unknown = array("i", [-1]) * missing
+            self._letter.extend(unknown)
+            self.colors.extend(bytes(missing * self.nq))
+            for finished in self._finished.values():
+                finished.extend(unknown)
+
     def initial_nodes(self) -> list[int]:
         return self._expand([self.inst.state_id(state)
                              for state in self.inst.initial_states()],
@@ -250,20 +296,57 @@ class Product:
     def successors(self, node: int) -> list[int]:
         gid, q = divmod(node, self.nq)
         row = self._moves[q]
-        last_gid, last_row, out = self._last
+        last_gid, last_row, out, edges = self._last
         if gid != last_gid or row is not last_row:
-            out = self._expand(self.inst.successor_ids(gid), row)
-            self._last = gid, row, out
+            out, edges = self._unfinished(self.inst.successor_ids(gid), row)
+            self._last = gid, row, out, edges
+        self.transitions += edges
+        return out
+
+    def all_successors(self, node: int) -> list[int]:
+        gid, q = divmod(node, self.nq)
+        out = self._expand(self.inst.successor_ids(gid), self._moves[q])
         self.transitions += len(out)
         return out
+
+    def _unfinished(self, gids, row: list[list[int]]) -> tuple[list[int], int]:
+        """``_expand`` less the nodes already blue or red, and the number of
+        nodes ``_expand`` would list."""
+        if len(self._letter) < len(self.inst.states):
+            self._size_tables()
+        finished = self._finished.get(id(row))
+        if finished is None:
+            finished = self._finished[id(row)] = \
+                array("i", [-1]) * len(self._letter)
+        letter, colors, nq, blue = self._letter, self.colors, self.nq, _BLUE
+        out: list[int] = []
+        edges = 0
+        for gid2 in gids:
+            size = finished[gid2]
+            if size >= 0:
+                edges += size
+                continue
+            lid = letter[gid2]
+            if lid < 0:
+                lid = self._label(gid2)
+            entered = row[lid]
+            edges += len(entered)
+            base = gid2 * nq
+            emitted = len(out)
+            for q2 in entered:
+                child = base + q2
+                if colors[child] < blue:
+                    out.append(child)
+            if len(out) == emitted:
+                finished[gid2] = len(entered)
+        return out, edges
 
     def _expand(self, gids, row: list[list[int]]) -> list[int]:
         """The nodes (gid2, q2) for each gid2 in ``gids`` and each q2 that
         ``row`` lists for gid2's letter, labelling states on first sight."""
+        if len(self._letter) < len(self.inst.states):
+            self._size_tables()
         letter = self._letter
-        missing = len(self.inst.states) - len(letter)
-        if missing:     # a slot for every state the instance has interned
-            letter.extend(array("i", [-1]) * missing)
         nq = self.nq
         out = []
         for gid2 in gids:
@@ -410,8 +493,10 @@ def check_spec(model: ModelDef, env: ParamEnv, spec_name: str,
     product = Product(inst, ba)
     lasso = None
     try:
-        result, stored = nested_dfs(product.initial_nodes(), product.successors,
-                                    product.is_accepting, max_stored=max_states)
+        result, stored = nested_dfs(
+            product.initial_nodes(), product.successors, product.is_accepting,
+            max_stored=max_states, colors=product.colors,
+            red_successors=product.all_successors)
     except ResourceCapExceeded as cap:
         status, stored = "inconclusive", cap.stored
     else:

@@ -153,10 +153,12 @@ class LassoWord:
 def accepts_lasso(ba, prefix, cycle) -> bool:
     """Whether the automaton accepts prefix·cycle^ω, by the search
     ``check_spec`` runs: ``nested_dfs`` on the ``Product`` of the word with
-    the automaton."""
+    the automaton, in the product's colours, so that the blue search skips
+    the blocks it finished."""
     product = Product(LassoWord(prefix, cycle), ba)
     result, _ = nested_dfs(product.initial_nodes(), product.successors,
-                           product.is_accepting)
+                           product.is_accepting, colors=product.colors,
+                           red_successors=product.all_successors)
     return result is not None
 
 

@@ -3,17 +3,18 @@
 import functools
 import importlib.util
 import random
-from collections import deque
+from collections import Counter, deque
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import tgmc
-from oracles import (eval_atomic_prop, random_digraph,
-                     reference_initial_states, scc_accepting_lasso_exists)
+from oracles import (LassoWord, eval_atomic_prop, random_digraph,
+                     random_model_text, reference_initial_states,
+                     scc_accepting_lasso_exists)
 from tgmc import checker
-from tgmc.buchi import build_buchi
+from tgmc.buchi import BuchiAutomaton, build_buchi
 from tgmc.checker import (DEFAULT_MAX_PRODUCT_STATES, Lasso, Product,
                           ResourceCapExceeded, Verdict, check_spec,
                           combined_formula, nested_dfs, reference_successors,
@@ -97,6 +98,14 @@ def test_nested_dfs_on_sparse_node_ids():
     assert stored == 2
     result, stored = run_nested(0, succ, (1 << 21, 0), set())
     assert result is None and stored == 3
+    # A colour array the caller passes grows the same way, also from empty,
+    # and keeps the colours the search left.
+    colors = bytearray()
+    result, stored = nested_dfs((1 << 21, 0), lambda v: succ[v],
+                                lambda v: False, colors=colors)
+    assert result is None and stored == 3
+    assert len(colors) > 1 << 21
+    assert {v for v, color in enumerate(colors) if color} == {0, 1_000_003, 1 << 21}
 
 
 def test_nested_dfs_agrees_with_scc_oracle():
@@ -278,13 +287,36 @@ def test_a_search_reuses_only_equal_expansions(model_name, params, symmetry,
                for other, others in zip(product._moves, entered))
 
     naive = NaiveProduct(product)
-    expanded, built = [], []
-    successors, successor_ids = Product.successors, Instance.successor_ids
+    blue, red, reused, built = [], [], [], []
+    last = [None, None, None]       # node, list, copy of the last blue list
+    successors, all_successors = Product.successors, Product.all_successors
+    successor_ids = Instance.successor_ids
 
     def checked_successors(self, node):
+        before = len(built)
         out = successors(self, node)
+        full = naive.successors(node)
+        if len(built) == before:
+            # Handed back the list of the expansion before: the same state
+            # under the same row, and the list as it was built.
+            last_node, last_out, last_copy = last
+            assert out is last_out and out == last_copy, node
+            assert node // self.nq == last_node // self.nq
+            assert self._moves[node % self.nq] is \
+                self._moves[last_node % self.nq]
+            reused.append(node)
+        else:
+            # The naive list less the nodes already blue or red.
+            assert out == [child for child in full
+                           if self.colors[child] < checker._BLUE], node
+        last[:] = node, out, list(out)
+        blue.append((len(out), len(full)))
+        return out
+
+    def checked_all_successors(self, node):
+        out = all_successors(self, node)
         assert out == naive.successors(node), node
-        expanded.append(len(out))
+        red.append(len(out))
         return out
 
     def counted_successor_ids(self, gid):
@@ -292,13 +324,103 @@ def test_a_search_reuses_only_equal_expansions(model_name, params, symmetry,
         return successor_ids(self, gid)
 
     monkeypatch.setattr(Product, "successors", checked_successors)
+    monkeypatch.setattr(Product, "all_successors", checked_all_successors)
     monkeypatch.setattr(Instance, "successor_ids", counted_successor_ids)
     result, _ = nested_dfs(product.initial_nodes(), product.successors,
-                           product.is_accepting)
+                           product.is_accepting, colors=product.colors,
+                           red_successors=product.all_successors)
     assert result is None
-    assert product.transitions == sum(expanded)
+    # Every edge counted once per expansion, also the skipped ones.
+    assert product.transitions == sum(full for _, full in blue) + sum(red)
+    assert sum(out for out, _ in blue) < sum(full for _, full in blue)
     if not symmetry:
-        assert len(built) < len(expanded)
+        assert reused
+
+
+def assert_search_is_naive(model, env, spec, fairness=True, symmetry=True):
+    """``check_spec``'s search, whose blue pass skips finished blocks,
+    against ``nested_dfs`` over the naive product with colours of its own:
+    the same status, product states, transitions and lasso."""
+    verdict = check_spec(model, env, spec, fairness=fairness, symmetry=symmetry)
+    inst = Instance(model, env, symmetry=symmetry)
+    ba = build_buchi(verdict.negated)
+    naive = NaiveProduct(Product(inst, ba))
+    edges = []
+
+    def successors(node):
+        out = naive.successors(node)
+        edges.append(len(out))
+        return out
+
+    result, stored = nested_dfs(naive.initial_nodes(), successors,
+                                lambda node: node % naive.nq in ba.accepting)
+    status = "holds" if result is None else "violated"
+    assert (verdict.status, verdict.product_states, verdict.transitions) \
+        == (status, stored, sum(edges)), (model.name, env, spec, fairness)
+    if result is not None:
+        prefix, cycle = ([inst.decode(inst.states[node // naive.nq])
+                          for node in nodes] for nodes in result)
+        lasso = verdict.counterexample
+        assert (lasso.prefix, lasso.cycle) == (prefix, cycle)
+    return status
+
+
+def test_the_skipping_search_matches_a_naive_search():
+    statuses = Counter()
+    for model_name, params in sorted(smallest_bindings().items()):
+        model = load_builtin(model_name)
+        env = parse_params_binding(params, model)
+        for spec in model.specs:
+            for fairness in (True, False):
+                for symmetry in (True, False):
+                    statuses[assert_search_is_naive(
+                        model, env, spec.name, fairness, symmetry)] += 1
+    rng = random.Random("random-models")
+    for i in range(100):
+        model = parse_model(random_model_text(rng, f"random{i}"))
+        for n in (1, 2, 3):
+            for symmetry in (True, False):
+                statuses[assert_search_is_naive(
+                    model, {"n": n}, "prop", symmetry=symmetry)] += 1
+    assert statuses["holds"] >= 100 and statuses["violated"] >= 100, statuses
+
+
+def test_a_row_that_enters_more_states_than_a_byte_counts():
+    """A row that enters 130 automaton states for a letter: the blue search
+    skips finished blocks of 130 nodes, and counts each in full."""
+    states = 131                    # 0..129 unlabelled, 130 needs "p"
+    ba = BuchiAutomaton(aps=("p",), labels=[(0, 0)] * 130 + [(1, 0)],
+                        succ=[tuple(range(states))] * states,
+                        initial=tuple(range(states)),
+                        accepting=frozenset({130}))
+    prefix, cycle = [set(), set(), set()], [set()]
+    product = Product(LassoWord(prefix, cycle), ba)
+    found = nested_dfs(product.initial_nodes(), product.successors,
+                       product.is_accepting, colors=product.colors,
+                       red_successors=product.all_successors)
+    assert max(max(sizes) for sizes in product._finished.values()) == 130
+
+    # The naive product of the word: position i steps to i + 1, the last
+    # one to itself, and a state is entered where its label holds.
+    word = prefix + cycle
+    letters = [1 if "p" in letter else 0 for letter in word]
+    edges = []
+
+    def entered(position, qs):
+        return [position * states + q for q in qs
+                if letters[position] & ba.labels[q][0] == ba.labels[q][0]
+                and not letters[position] & ba.labels[q][1]]
+
+    def successors(node):
+        position, q = divmod(node, states)
+        out = entered(min(position + 1, len(word) - 1), ba.succ[q])
+        edges.append(len(out))
+        return out
+
+    expected = nested_dfs(entered(0, ba.initial), successors,
+                          lambda node: node % states in ba.accepting)
+    assert found == expected == (None, 4 * 130)
+    assert product.transitions == sum(edges)
 
 
 def wide_clean_model():
@@ -391,6 +513,10 @@ def test_the_benchmark_tracer_still_sees_every_layer():
     assert metrics["kripke.succ_calls"] > 0
     assert metrics["cfa.step_calls"] > 0
     assert metrics["checker.product_states"] == verdict.product_states
+    # A blue search that went round Product.successors would read 0
+    # expansions, and count the states it built as rebuilt.
+    assert metrics["checker.expansions"] >= verdict.product_states
+    assert metrics["kripke.rebuild_ratio"] == 1.0
 
 
 def test_combined_formula_shapes():
